@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .clifford import Multivector
 from .cpoly import CliffordPoly
-from .errors import UsesExtendedAlgebra
+from .errors import SingularSystem, UsesExtendedAlgebra
 from .qfield import ONE, q_factorial
 from .qops import q_partial
 
@@ -48,7 +48,8 @@ def ck_extend(f):
     g = f
     k = 0
     while not g.is_zero():
-        assert k <= bound, "series failed to terminate at the input degree"
+        if k > bound:
+            raise SingularSystem("CK series failed to terminate at the input degree")
         acc = acc + (ONE / q_factorial(k)) * power * g
         g = ebar * _dirac_vector_part(g)
         power = power * x0

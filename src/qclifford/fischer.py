@@ -2,10 +2,12 @@
 
 The split P = M + x Q (M monogenic, Q of degree k-1) is computed by
 solving the square linear system q_dirac(x Q) = q_dirac(P) over Q(q) in
-the monomial-blade basis of the degree-(k-1) space.  The system matrix
-preserves blade parity, so it factors into two blocks, and each block is
-inverted once per (m, k) by fraction-free Gauss-Jordan elimination and
-cached; individual splits are then sparse matrix-vector products.
+the monomial-blade basis of the degree-(k-1) space.  x and q_dirac keep
+the class of x^alpha e_A in Z_2^m, whose bit l is alpha_l + [l in A] mod 2.
+A class holds one blade per multi-index, so the matrix has 2^m blocks of
+size C(k+m-2, m-1).  Each block is inverted once per (m, k) by
+fraction-free Gauss-Jordan elimination and cached; individual splits are
+then sparse matrix-vector products.
 """
 
 from __future__ import annotations
@@ -161,6 +163,35 @@ def _int_poly(c):
     return out
 
 
+def _grading_class(alpha, mask):
+    """The Z_2^m class of x^alpha e_A: bit l is alpha_l + [l in A] mod 2."""
+    return mask ^ sum(1 << i for i, a in enumerate(alpha) if a & 1)
+
+
+def _graded_blocks(op, m, src, dst):
+    """The matrix over Z[q] of the linear map op from span(src) to span(dst)
+    as one (src_ids, block) per grading class: block[i][j] is the coordinate
+    of op(src[src_ids[j]]) at the i-th dst element of the class."""
+    classes = {}
+    for side, basis in ((0, dst), (1, src)):
+        for i, be in enumerate(basis):
+            classes.setdefault(_grading_class(*be), ([], []))[side].append(i)
+    row_of = {dst[i]: r for rows, _ in classes.values() for r, i in enumerate(rows)}
+    out = []
+    for g, (rows, cols) in sorted(classes.items()):
+        block = [[[] for _ in cols] for _ in rows]
+        for j, s in enumerate(cols):
+            alpha, mask = src[s]
+            image = op(CliffordPoly.monomial(m, alpha, Multivector.blade(mask, m)))
+            for beta, mv in image.terms.items():
+                for bmask, c in mv.terms.items():
+                    if _grading_class(beta, bmask) != g:
+                        raise SingularSystem("operator does not preserve the grading")
+                    block[row_of[(beta, bmask)]][j] = _int_poly(c)
+        out.append((cols, block))
+    return out
+
+
 class _StepSolver:
     """Cached inverse of Q -> q_dirac(x Q) on the degree-(k-1) space."""
 
@@ -169,23 +200,10 @@ class _StepSolver:
         self.k = k
         self.basis = space_basis(m, k - 1)
         self.index = {be: i for i, be in enumerate(self.basis)}
-        n = len(self.basis)
-        columns = []
         xv = vector_variable(m)
-        for alpha, mask in self.basis:
-            image = q_dirac(xv * CliffordPoly.monomial(m, alpha, Multivector.blade(mask, m)))
-            col = [[] for _ in range(n)]
-            for beta, mv in image.terms.items():
-                for bmask, c in mv.terms.items():
-                    col[self.index[(beta, bmask)]] = _int_poly(c)
-            columns.append(col)
         self.blocks = []
-        for parity in (0, 1):
-            ids = [i for i, (_, mask) in enumerate(self.basis)
-                   if mask.bit_count() & 1 == parity]
-            if not ids:
-                continue
-            block = [[columns[j][i] for j in ids] for i in ids]
+        blocks = _graded_blocks(lambda Q: q_dirac(xv * Q), m, self.basis, self.basis)
+        for ids, block in blocks:
             inv, det = invert_ff(block)
             inv_scalars = [[QScalar(QPoly(entry)) if entry else ZERO for entry in row]
                            for row in inv]
@@ -263,23 +281,5 @@ def monogenic_dimension(m, k):
     space, computed as the nullity of its matrix over Q(q)."""
     if k == 0:
         return 1 << m
-    lo = space_basis(m, k - 1)
-    lo_index = {be: i for i, be in enumerate(lo)}
-    hi = space_basis(m, k)
-    columns = []
-    for alpha, mask in hi:
-        image = q_dirac(CliffordPoly.monomial(m, alpha, Multivector.blade(mask, m)))
-        col = [[] for _ in range(len(lo))]
-        for beta, mv in image.terms.items():
-            for bmask, c in mv.terms.items():
-                col[lo_index[(beta, bmask)]] = _int_poly(c)
-        columns.append(col)
-    rank = 0
-    for parity in (0, 1):
-        col_ids = [j for j, (_, mask) in enumerate(hi) if mask.bit_count() & 1 == parity]
-        row_ids = [i for i, (_, mask) in enumerate(lo) if mask.bit_count() & 1 != parity]
-        if not col_ids or not row_ids:
-            continue
-        block = [[columns[j][i] for j in col_ids] for i in row_ids]
-        rank += rank_ff(block)
-    return space_dimension(m, k) - rank
+    blocks = _graded_blocks(q_dirac, m, space_basis(m, k), space_basis(m, k - 1))
+    return space_dimension(m, k) - sum(rank_ff(block) for _, block in blocks)

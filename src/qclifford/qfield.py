@@ -318,6 +318,9 @@ class QScalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        if self.den.is_one() and self.num.degree <= 0:
+            # a constant equals its int/Fraction value, so it hashes like it
+            return hash(self.num.leading())
         return hash((self.num.coeffs, self.den.coeffs))
 
     # -- evaluation and substitution ------------------------------------

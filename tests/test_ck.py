@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from qclifford import ck
 from qclifford.ck import ck_extend, e0bar, extended_dirac, restrict_x0
 from qclifford.cpoly import CliffordPoly
-from qclifford.errors import UsesExtendedAlgebra
+from qclifford.errors import SingularSystem, UsesExtendedAlgebra
 from qclifford.qfield import Q, QScalar, q_bracket
 from qclifford.randpoly import random_poly, random_scalar
 
@@ -91,6 +92,13 @@ class TestContract:
             f = random_poly(rng, m, 4)
             F = ck_extend(f)
             assert max((a[0] for a in F.terms), default=0) <= f.total_degree()
+
+    def test_nonterminating_series_raises(self, monkeypatch):
+        # with the Dirac step replaced by the identity the series never
+        # reaches zero; the guard must not depend on assertions being on
+        monkeypatch.setattr(ck, "_dirac_vector_part", lambda F: F)
+        with pytest.raises(SingularSystem):
+            ck_extend(x(1, 2))
 
     def test_rejects_extended_input(self):
         with pytest.raises(UsesExtendedAlgebra):

@@ -6,9 +6,10 @@ import pytest
 
 from qclifford.clifford import Multivector
 from qclifford.cpoly import CliffordPoly, vector_variable
-from qclifford.errors import NotHomogeneous
+from qclifford.errors import NotHomogeneous, SingularSystem
 from qclifford.fischer import (
     FischerSplit,
+    _graded_blocks,
     fischer_adjoint_check,
     fischer_full,
     fischer_inner,
@@ -222,6 +223,58 @@ class TestFischerStep:
         with pytest.raises(NotHomogeneous):
             fischer_step(x(1, 2) + x(1, 2) ** 2)
 
+    def test_right_blade_equivariance(self):
+        # x and q_dirac act from the left, so a split commutes with right
+        # multiplication by any blade
+        rng = random.Random(83)
+        for _ in range(30):
+            m = rng.randint(1, 3)
+            k = rng.randint(1, 4)
+            P = random_homogeneous_poly(rng, m, k)
+            eB = CliffordPoly.from_multivector(
+                Multivector.blade(rng.randrange(1 << m) << 1, m))
+            s = fischer_step(P)
+            t = fischer_step(P * eB)
+            assert t.monogenic == s.monogenic * eB
+            assert t.cofactor == s.cofactor * eB
+
+
+def grading_class(alpha, mask):
+    """Independent oracle: the bits alpha_l + [l in A] mod 2, l = 1..m."""
+    return tuple((alpha[l] + (mask >> l & 1)) % 2 for l in range(1, len(alpha)))
+
+
+class TestGrading:
+    def test_operators_preserve_the_class(self):
+        for m in (1, 2, 3):
+            xv = vector_variable(m)
+            for k in range(1, 5):
+                for alpha, mask in space_basis(m, k):
+                    b = CliffordPoly.monomial(m, alpha, Multivector.blade(mask, m))
+                    g = grading_class(alpha, mask)
+                    for image in (q_dirac(xv * b), q_dirac(b)):
+                        assert not image.is_zero()
+                        for beta, mv in image.terms.items():
+                            for bmask in mv.terms:
+                                assert grading_class(beta, bmask) == g
+
+    def test_class_sizes(self):
+        # every class holds one blade per multi-index
+        for m in (1, 2, 3):
+            for k in range(1, 5):
+                n = len(monomial_multi_indices(m, k - 1))
+                basis = space_basis(m, k - 1)
+                blocks = _graded_blocks(lambda R: q_dirac(vector_variable(m) * R), m,
+                                        basis, basis)
+                assert len(blocks) == 1 << m
+                assert all(len(ids) == len(block) == n for ids, block in blocks)
+
+    def test_cross_class_entry_raises(self):
+        # right multiplication by e1 flips bit 1 of the class
+        basis = space_basis(2, 1)
+        with pytest.raises(SingularSystem):
+            _graded_blocks(lambda R: R * e(1, 2), 2, basis, basis)
+
 
 class TestFischerFull:
     def test_degree_zero_tower(self):
@@ -259,8 +312,8 @@ class TestFischerFull:
 
 class TestDimensions:
     def test_monogenic_dimension_formula(self):
-        for m in (1, 2):
-            for k in range(1, 4):
+        for m, kmax in ((1, 3), (2, 3), (3, 4), (4, 3)):
+            for k in range(1, kmax + 1):
                 assert monogenic_dimension(m, k) == space_dimension(m, k) - space_dimension(
                     m, k - 1
                 )

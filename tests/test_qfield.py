@@ -73,6 +73,15 @@ class TestCanonicalForm:
         b = poly(1, 1)
         assert a == b and hash(a) == hash(b)
 
+    def test_hash_agrees_with_int_and_fraction(self):
+        for value in (0, 1, -3, Fraction(2, 3)):
+            assert value in {QScalar(value): None}
+            assert QScalar(value) in {value: None}
+            assert hash(QScalar(value)) == hash(value)
+        assert Fraction(7, 1) in {QScalar(7): None}
+        assert QScalar(Fraction(7, 1)) in {7: None}
+        assert Q not in {0: None, 1: None}
+
     def test_str(self):
         assert str(poly(1, 1, 1) / poly(0, 0, 1)) == "(1 + q + q^2)/q^2"
         assert str(ONE / poly(-1, 1)) == "1/(-1 + q)"
