@@ -6,7 +6,8 @@ form {"command", "inputs", "result", "checks"}; the result field is the
 canonical expression string, which reparses to the same value.
 
 Exit codes: 0 success (verify: everything holds), 1 verification found a
-counterexample, 2 usage or parse error, 3 internal invariant violation.
+counterexample, 2 usage or parse error, 3 internal invariant violation
+or any other internal error.  No input ends in a traceback.
 """
 
 from __future__ import annotations
@@ -23,13 +24,35 @@ from . import fischer as fischer_mod
 from . import jackson as jackson_mod
 from . import qops
 from .cpoly import evaluate_poly
-from .errors import QCliffordError, SingularSystem
+from .errors import InvalidArgument, QCliffordError, SingularSystem
 from .parser import parse_poly, parse_unipoly
 from .randpoly import random_poly
 
 
 class InternalInvariantViolation(Exception):
     """A result the library guarantees failed to hold."""
+
+
+def _rational(text, option):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidArgument("%s: not a rational number: %r" % (option, text)) from None
+
+
+def _int_in(lo, hi):
+    """argparse type: an int in [lo, hi]."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("not an integer: %r" % text) from None
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError("must be in %d..%d, got %d" % (lo, hi, value))
+        return value
+
+    return parse
 
 
 def _emit(args, command, inputs, result, checks=()):
@@ -68,10 +91,10 @@ def _cmd_deriv(args):
 
 def _cmd_eval(args):
     P = parse_poly(args.expr, args.m)
-    q0 = Fraction(args.q0)
+    q0 = _rational(args.q0, "--q0")
     inputs = {"m": args.m, "expr": args.expr, "q0": args.q0}
     if args.point is not None:
-        point = [Fraction(v) for v in args.point.split(",")]
+        point = [_rational(v, "--point") for v in args.point.split(",")]
         inputs["point"] = args.point
     elif P.total_degree() <= 0:
         point = [0] * P.m
@@ -180,7 +203,7 @@ def _cmd_jackson(args):
         _emit(args, "jackson deriv", {"expr": args.expr}, str(result))
     elif args.jackson_verb == "integrate":
         f = parse_unipoly(args.expr)
-        result = jackson_mod.q_integral(f, Fraction(args.a), Fraction(args.b))
+        result = jackson_mod.q_integral(f, _rational(args.a, "--a"), _rational(args.b, "--b"))
         _emit(args, "jackson integrate",
               {"expr": args.expr, "a": args.a, "b": args.b}, str(result))
     else:
@@ -230,9 +253,12 @@ def build_parser():
     p = sub.add_parser("verify", help="randomized check of operator identities")
     p.add_argument("--relation", help="relation name (see docs); default all")
     p.add_argument("--all", action="store_true", help="check every relation")
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--degree", type=int, default=4)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--m", type=_int_in(1, 8), default=3,
+                   help="largest dimension, 1..8 (default 3)")
+    p.add_argument("--degree", type=_int_in(0, 12), default=4,
+                   help="largest degree of the random inputs, 0..12 (default 4)")
+    p.add_argument("--trials", type=_int_in(1, 10000), default=50,
+                   help="random trials per relation, 1..10000 (default 50)")
     p.add_argument("--seed", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
@@ -275,6 +301,9 @@ def main(argv=None):
     except (QCliffordError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

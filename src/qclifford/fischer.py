@@ -155,12 +155,9 @@ def _int_poly(c):
     """QScalar with denominator 1 and integer coefficients -> int list."""
     if not c.den.is_one():
         raise SingularSystem("system entry is not polynomial")
-    out = []
-    for f in c.num.coeffs:
-        if f.denominator != 1:
-            raise SingularSystem("system entry has non-integer coefficients")
-        out.append(f.numerator)
-    return out
+    if c.num.d != 1:
+        raise SingularSystem("system entry has non-integer coefficients")
+    return list(c.num.ints)
 
 
 def _grading_class(alpha, mask):

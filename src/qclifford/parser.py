@@ -8,7 +8,8 @@ factors, so x12 is variable twelve, never x1*x2.  Atoms are `q`, `xK`,
 `eK`, integer literals and parenthesized expressions (`t` replaces the
 variables in one-dimensional mode).  Division is valid whenever the
 divisor is a scalar constant; this covers rational literals like 1/2 and
-makes every canonical rendering reparse.
+makes every canonical rendering reparse.  Parentheses and unary minus
+nest at most MAX_DEPTH levels deep; deeper input is a ParseError.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ from .cpoly import CliffordPoly
 from .errors import DivisionByZero, InvalidArgument, InvalidVariable, ParseError
 from .jackson import UniPoly
 from .qfield import QPoly, QScalar
+
+
+#: nesting limit for parentheses and unary minus; each level costs a few
+#: interpreter frames in the recursive descent and in `lower`
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -98,6 +104,7 @@ class _Parser:
         self.pos = 0
         self.m = m
         self.one_dim = one_dim
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -112,6 +119,11 @@ class _Parser:
         if tok[0] != kind:
             raise ParseError("expected %r, found %r" % (kind, tok[1] or "end"), tok[2])
         return tok
+
+    def nest(self, pos):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError("expression nests deeper than %d levels" % MAX_DEPTH, pos)
 
     def parse(self):
         expr = self.expr(0)
@@ -132,10 +144,13 @@ class _Parser:
             left = BinOp(kind, left, right)
 
     def unary(self):
-        kind, _, _ = self.peek()
+        kind, _, pos = self.peek()
         if kind == "-":
             self.advance()
-            return Neg(self.unary())
+            self.nest(pos)
+            node = Neg(self.unary())
+            self.depth -= 1
+            return node
         return self.power()
 
     def power(self):
@@ -151,8 +166,10 @@ class _Parser:
         if kind == "int":
             return Num(Fraction(int(text)))
         if kind == "(":
+            self.nest(pos)
             inner = self.expr(0)
             self.expect(")")
+            self.depth -= 1
             return inner
         if kind == "name":
             return self.name_atom(text, pos)
@@ -192,6 +209,19 @@ def _scalar_of(P):
     raise InvalidArgument("divisor must be a scalar constant, got %s" % P)
 
 
+def _binop(op, left, right):
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    divisor = _scalar_of(right)
+    if divisor.is_zero():
+        raise DivisionByZero("division by zero expression")
+    return left * (QScalar(1) / divisor)
+
+
 def lower(expr, m):
     """Evaluate an AST in the polynomial algebra."""
     if isinstance(expr, Num):
@@ -207,18 +237,16 @@ def lower(expr, m):
     if isinstance(expr, Pow):
         return lower(expr.base, m) ** expr.exponent
     if isinstance(expr, BinOp):
-        left = lower(expr.left, m)
-        right = lower(expr.right, m)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        divisor = _scalar_of(right)
-        if divisor.is_zero():
-            raise DivisionByZero("division by zero expression")
-        return left * (QScalar(1) / divisor)
+        # a chain like a + b + c nests to the left as deep as it is long,
+        # so walk that spine in a loop
+        spine = []
+        while isinstance(expr, BinOp):
+            spine.append(expr)
+            expr = expr.left
+        acc = lower(expr, m)
+        for node in reversed(spine):
+            acc = _binop(node.op, acc, lower(node.right, m))
+        return acc
     raise TypeError("not an expression node: %r" % (expr,))
 
 

@@ -1,11 +1,13 @@
 """Exact arithmetic in Q(q), the field of rational functions in the
 deformation parameter q.
 
-`QPoly` is a dense univariate polynomial over the rationals; `QScalar` is
-a quotient of two of them kept canonical (fully reduced, monic
-denominator), so equal field elements are structurally identical.  The
-q-combinatorial quantities [u]_q, [k]_q! and the Gaussian binomials live
-here as well.  Every coefficient elsewhere in the package is a QScalar.
+`QPoly` is a dense univariate polynomial over the rationals, held as an
+integer coefficient list over one positive common denominator, so all
+polynomial arithmetic runs in Z[q] on the kernel in `_polyarith`.
+`QScalar` is a quotient of two of them kept canonical (fully reduced,
+monic denominator), so equal field elements are structurally identical.
+The q-combinatorial quantities [u]_q, [k]_q! and the Gaussian binomials
+live here as well.  Every coefficient elsewhere in the package is a QScalar.
 
 q is treated as a formal parameter: identities are exact in Q(q) and
 numeric evaluation rejects poles instead of taking limits.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from . import _polyarith as pa
 from .errors import DivisionByZero, InvalidArgument, PoleAtEvaluationPoint
@@ -24,20 +26,33 @@ from .errors import DivisionByZero, InvalidArgument, PoleAtEvaluationPoint
 class QPoly:
     """Polynomial in q with rational coefficients, lowest degree first.
 
-    Trailing zeros are stripped on construction, so the zero polynomial is
-    the empty tuple and equality is tuple equality.
+    Stored as the pair (ints, d): the coefficients are ints[k] / d, where
+    ints is a tuple of ints without trailing zeros, d is a positive int and
+    gcd(content(ints), d) == 1.  The zero polynomial is ((), 1).  The pair
+    is unique, so equality and hashing are pair equality, and the
+    arithmetic runs on the integer lists of `_polyarith`.  `coeffs` is a
+    read-only view of the rational coefficients.
 
     >>> str(QPoly([1, 1]) * QPoly([-1, 1]))
     '-1 + q^2'
+    >>> p = QPoly([Fraction(1, 2), Fraction(1, 3)])
+    >>> p.ints, p.d
+    ((3, 2), 6)
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints", "d")
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        d = lcm(*(c.denominator for c in cs))
+        # over the lcm of reduced denominators the content is prime to d
+        self.ints = tuple(pa.trim([c.numerator * (d // c.denominator) for c in cs]))
+        self.d = d
+
+    @property
+    def coeffs(self):
+        d = self.d
+        return tuple(Fraction(c, d) for c in self.ints)
 
     @classmethod
     def const(cls, c):
@@ -45,88 +60,65 @@ class QPoly:
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.ints
 
     def is_one(self):
-        return self.coeffs == _ONE_COEFFS
+        return self.d == 1 and self.ints == (1,)
 
     def leading(self):
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return Fraction(self.ints[-1], self.d) if self.ints else Fraction(0)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __eq__(self, other):
         if isinstance(other, QPoly):
-            return self.coeffs == other.coeffs
+            return self.ints == other.ints and self.d == other.d
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.ints, self.d))
 
     def __neg__(self):
-        return QPoly(tuple(-c for c in self.coeffs))
+        return _qpoly(pa.neg(self.ints), self.d)
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
+        a, b = self.d, other.d
+        if a == b:
+            return _qpoly(pa.add(self.ints, other.ints), a)
+        d = lcm(a, b)
+        return _qpoly(pa.add(pa.mul_int(self.ints, d // a), pa.mul_int(other.ints, d // b)), d)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _ZERO_POLY
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return QPoly(out)
-
-    def __pow__(self, n):
-        if n < 0:
-            raise InvalidArgument("negative power of a polynomial")
-        result = _ONE_POLY
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _qpoly(pa.mul(self.ints, other.ints), self.d * other.d)
 
     def scaled(self, f):
         """Multiply every coefficient by the rational f."""
         f = Fraction(f)
-        if not f:
-            return _ZERO_POLY
-        return QPoly(tuple(c * f for c in self.coeffs))
+        return _qpoly(pa.mul_int(self.ints, f.numerator), self.d * f.denominator)
 
     def times_q_power(self, k):
-        if not self.coeffs:
+        if not self.ints:
             return _ZERO_POLY
-        return QPoly((Fraction(0),) * k + self.coeffs)
+        return _qpoly((0,) * k + self.ints, self.d)
 
     def evaluate(self, q0):
-        """Exact value at q = q0 (Horner)."""
+        """Exact value at q = q0 (Horner on the integers, one division)."""
         q0 = Fraction(q0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * q0 + c
-        return acc
+        p, r = q0.numerator, q0.denominator
+        acc = 0
+        for k, c in enumerate(reversed(self.ints)):
+            acc = acc * p + c * r**k
+        return Fraction(acc, r ** max(self.degree, 0) * self.d)
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.ints:
             return "0"
         chunks = []
         for k, c in enumerate(self.coeffs):
@@ -147,26 +139,23 @@ class QPoly:
     __repr__ = __str__
 
 
+def _qpoly(ints, d=1):
+    """The QPoly ints/d from a trimmed int sequence and a positive d,
+    reduced by the gcd of the content and d."""
+    if d != 1:
+        g = gcd(d, *ints)
+        if g != 1:
+            ints = [c // g for c in ints]
+            d //= g
+    p = object.__new__(QPoly)
+    p.ints = tuple(ints)
+    p.d = d
+    return p
+
+
 _ZERO_POLY = QPoly()
 _ONE_POLY = QPoly((1,))
-_ONE_COEFFS = (Fraction(1),)
 _Q_POLY = QPoly((0, 1))
-
-
-def _to_int_poly(p):
-    """Split p into (primitive integer list, rational content)."""
-    if not p.coeffs:
-        return [], Fraction(0)
-    denom = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * denom) for c in p.coeffs]
-    g = pa.content(ints)
-    if ints[-1] < 0:
-        g = -g
-    return [c // g for c in ints], Fraction(g, denom)
-
-
-def _from_int_poly(ints, cont):
-    return QPoly(tuple(Fraction(c) * cont for c in ints))
 
 
 def _as_qpoly(x):
@@ -189,7 +178,7 @@ class QScalar:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num=0, den=1):
+    def __init__(self, num=0, den=_ONE_POLY):
         num = _as_qpoly(num)
         den = _as_qpoly(den)
         if den.is_zero():
@@ -200,22 +189,20 @@ class QScalar:
             return
         if not den.is_one():
             if den.degree == 0:
-                num = num.scaled(1 / den.coeffs[0])
+                num = num.scaled(Fraction(den.d, den.ints[0]))
                 den = _ONE_POLY
             else:
-                n_int, n_cont = _to_int_poly(num)
-                d_int, d_cont = _to_int_poly(den)
+                n_int, d_int = num.ints, den.ints
                 g = pa.gcd(n_int, d_int)
                 if len(g) > 1:
                     n_int = pa.divexact(n_int, g)
                     d_int = pa.divexact(d_int, g)
-                cont = n_cont / d_cont
-                num = QPoly(tuple(Fraction(c) * cont for c in n_int))
-                den = QPoly(tuple(Fraction(c) for c in d_int))
-                lead = den.leading()
-                if lead != 1:
-                    num = num.scaled(1 / lead)
-                    den = den.scaled(1 / lead)
+                lead = d_int[-1]
+                if lead < 0:
+                    n_int, d_int, lead = pa.neg(n_int), pa.neg(d_int), -lead
+                # (n_int / num.d) / (d_int / den.d), both sides divided by lead / den.d
+                num = _qpoly(pa.mul_int(n_int, den.d), num.d * lead)
+                den = _qpoly(d_int, lead)
         self.num = num
         self.den = den
 
@@ -321,7 +308,7 @@ class QScalar:
         if self.den.is_one() and self.num.degree <= 0:
             # a constant equals its int/Fraction value, so it hashes like it
             return hash(self.num.leading())
-        return hash((self.num.coeffs, self.den.coeffs))
+        return hash((self.num, self.den))
 
     # -- evaluation and substitution ------------------------------------
 
@@ -336,8 +323,8 @@ class QScalar:
         """Substitute q -> 1/q, staying in Q(q)."""
         if self.is_zero():
             return ZERO
-        rn = QPoly(tuple(reversed(self.num.coeffs)))
-        rd = QPoly(tuple(reversed(self.den.coeffs)))
+        rn = _qpoly(pa.trim(list(reversed(self.num.ints))), self.num.d)
+        rd = _qpoly(pa.trim(list(reversed(self.den.ints))), self.den.d)
         shift = self.den.degree - self.num.degree
         if shift >= 0:
             return QScalar(rn.times_q_power(shift), rd)
@@ -346,7 +333,7 @@ class QScalar:
     def as_fraction(self):
         """The value as a plain rational; requires a constant element."""
         if self.den.is_one() and self.num.degree <= 0:
-            return self.num.coeffs[0] if self.num.coeffs else Fraction(0)
+            return self.num.leading()
         raise InvalidArgument("%s is not a constant" % self)
 
     def __str__(self):

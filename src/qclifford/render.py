@@ -15,8 +15,8 @@ def _coefficient_sign_split(c):
     Returns (negative, magnitude).  Composite coefficients (several terms,
     or a genuine denominator) keep their sign inside and render in parens.
     """
-    if c.den.is_one() and sum(1 for x in c.num.coeffs if x) == 1:
-        if c.num.leading() < 0:
+    if c.den.is_one() and sum(1 for x in c.num.ints if x) == 1:
+        if c.num.ints[-1] < 0:
             return True, -c
     return False, c
 

@@ -189,3 +189,53 @@ class TestExitCodes:
     def test_extended_content_rejected(self, capsys):
         code, _, err = run(capsys, "dirac", "--m", "2", "x0*e0")
         assert code == 2
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize("argv,option", [
+        (("eval", "--m", "1", "--q0", "1/0", "x1"), "--q0"),
+        (("eval", "--m", "2", "--point", "1/0,1", "x1"), "--point"),
+        (("eval", "--m", "1", "--q0", "abc", "1"), "--q0"),
+        (("jackson", "integrate", "--a", "1/0", "t"), "--a"),
+        (("jackson", "integrate", "--b", "2/0", "t"), "--b"),
+    ])
+    def test_bad_rational_is_usage_error(self, capsys, argv, option):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: %s: not a rational number" % option)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("option,value", [
+        ("--m", "0"), ("--m", "-1"), ("--m", "9"),
+        ("--trials", "0"), ("--trials", "10001"),
+        ("--degree", "-1"), ("--degree", "13"), ("--degree", "x"),
+    ])
+    def test_verify_bounds_rejected(self, capsys, option, value):
+        code, out, err = run(capsys, "verify", "--relation", "weyl", "--seed", "1",
+                             option, value)
+        assert code == 2
+        assert out == ""
+        assert "argument %s" % option in err
+
+    def test_verify_bounds_accepted(self, capsys):
+        code, out, _ = run(capsys, "verify", "--relation", "weyl", "--seed", "1",
+                           "--m", "1", "--degree", "0", "--trials", "1")
+        assert code == 0
+        assert "weyl: ok (1 trials)" in out
+
+
+class TestNoTraceback:
+    def test_deep_nesting_is_parse_error(self, capsys):
+        code, _, err = run(capsys, "dirac", "--m", "1", "(" * 3000 + "x1" + ")" * 3000)
+        assert code == 2
+        assert "nests deeper" in err
+
+    def test_internal_error_exits_three(self, capsys, monkeypatch):
+        def boom(P):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(qops, "q_dirac", boom)
+        code, out, err = run(capsys, "dirac", "--m", "1", "x1")
+        assert code == 3
+        assert out == ""
+        assert err.strip() == "internal error: RuntimeError: boom"

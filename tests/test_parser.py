@@ -207,3 +207,31 @@ class TestUniParser:
         for text in ("t", "1 + t + t^2", "(1/(1 + q))*t^2", "q*t - 1/2"):
             f = parse_unipoly(text)
             assert parse_unipoly(str(f)) == f
+
+
+class TestNestingLimit:
+    def test_limit_is_inclusive(self):
+        from qclifford.parser import MAX_DEPTH
+
+        assert parse_poly("(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH, 1) == x(1, 1)
+        assert parse_poly("-" * MAX_DEPTH + "x1", 1) == x(1, 1)
+        assert parse_poly("-(" * (MAX_DEPTH // 2) + "x1" + ")" * (MAX_DEPTH // 2), 1) == x(1, 1)
+
+    @pytest.mark.parametrize("text", [
+        "(" * 101 + "x1" + ")" * 101,
+        "(" * 3000 + "x1" + ")" * 3000,
+        "-" * 3000 + "x1",
+        "-(" * 51 + "x1" + ")" * 51,
+    ])
+    def test_deeper_input_is_parse_error(self, text):
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse_poly(text, 1)
+
+    def test_one_dimensional_mode(self):
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse_unipoly("(" * 3000 + "t" + ")" * 3000)
+
+    def test_long_chains_are_not_nesting(self):
+        assert parse_poly(" + ".join(["x1"] * 3000), 1) == 3000 * x(1, 1)
+        assert parse_poly(" - ".join(["x1"] * 3001), 1) == -2999 * x(1, 1)
+        assert parse_poly("*".join(["e1"] * 3000), 1) == CliffordPoly.one(1)

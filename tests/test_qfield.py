@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qclifford.errors import DivisionByZero, InvalidArgument, PoleAtEvaluationPoint
@@ -219,3 +220,60 @@ class TestFieldAxioms:
         assert a.den.leading() == 1 or a.is_zero() and a.den.is_one()
         if a.is_zero():
             assert a.den.is_one()
+
+
+small_rationals = st.builds(
+    Fraction, st.integers(min_value=-5, max_value=5), st.integers(min_value=1, max_value=4)
+)
+
+
+def _finite_at(a, q0):
+    try:
+        return a.evaluate(q0)
+    except PoleAtEvaluationPoint:
+        return None
+
+
+class TestEvaluationHomomorphism:
+    """Evaluation at a point that is no pole commutes with the field
+    operations; this holds whatever the representation."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(qscalars, qscalars, small_rationals)
+    def test_operations_commute_with_evaluation(self, a, b, q0):
+        va, vb = _finite_at(a, q0), _finite_at(b, q0)
+        assume(va is not None and vb is not None)
+        assert (a + b).evaluate(q0) == va + vb
+        assert (a - b).evaluate(q0) == va - vb
+        assert (a * b).evaluate(q0) == va * vb
+        if vb:
+            assert (a / b).evaluate(q0) == va / vb
+
+
+def _assert_representation(p):
+    assert isinstance(p.d, int) and p.d > 0
+    assert all(isinstance(c, int) for c in p.ints)
+    assert not p.ints or p.ints[-1] != 0
+    assert gcd(p.d, *p.ints) == 1
+    assert p.coeffs == tuple(Fraction(c, p.d) for c in p.ints)
+
+
+class TestRepresentation:
+    """A QPoly is the pair (ints, d) with coefficients ints[k] / d, no
+    trailing zero, d > 0 and gcd(content(ints), d) == 1."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(qscalars, qscalars)
+    def test_invariant_on_canonical_scalars(self, a, b):
+        for s in (a, b, a + b, a - b, a * b, -a, a.subst_qinv()):
+            _assert_representation(s.num)
+            _assert_representation(s.den)
+
+    def test_equal_polynomials_are_equal_pairs(self):
+        p = QPoly([Fraction(2, 2), 0])
+        assert p == QPoly([1]) and hash(p) == hash(QPoly([1]))
+        assert (p.ints, p.d) == ((1,), 1)
+        half = QPoly([Fraction(1, 2)])
+        assert half + half == QPoly([1]) and hash(half + half) == hash(QPoly([1]))
+        assert (QPoly([0, Fraction(0, 3)]).ints, QPoly([0, Fraction(0, 3)]).d) == ((), 1)
+        assert QPoly([Fraction(1, 2), Fraction(1, 3)]).coeffs == (Fraction(1, 2), Fraction(1, 3))
