@@ -99,6 +99,8 @@ def pseudo_rem(a, b):
 
 def gcd(a, b):
     """Primitive gcd via the primitive polynomial remainder sequence."""
+    if (len(a) == 1 and b) or (len(b) == 1 and a):
+        return [1]  # a nonzero constant is a unit
     a = primitive(a)
     b = primitive(b)
     while b:

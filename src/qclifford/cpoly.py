@@ -104,9 +104,6 @@ class CliffordPoly:
     def coefficient(self, alpha):
         return self.terms.get(tuple(alpha), Multivector.zero(self.m))
 
-    def support(self):
-        return sorted(self.terms, key=term_sort_key)
-
     def total_degree(self):
         """Largest |alpha| present; -1 for the zero polynomial."""
         return max((sum(a) for a in self.terms), default=-1)
@@ -117,9 +114,6 @@ class CliffordPoly:
         if len(degrees) == 1:
             return degrees.pop()
         return None
-
-    def is_homogeneous(self, k):
-        return all(sum(a) == k for a in self.terms)
 
     def has_x0(self):
         return any(a[0] for a in self.terms)

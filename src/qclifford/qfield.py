@@ -6,6 +6,9 @@ integer coefficient list over one positive common denominator, so all
 polynomial arithmetic runs in Z[q] on the kernel in `_polyarith`.
 `QScalar` is a quotient of two of them kept canonical (fully reduced,
 monic denominator), so equal field elements are structurally identical.
+`QScalar(num, den)` is the one full canonicalisation; the operators start
+from canonical operands and do only the work those leave open (Henrici's
+cross-cancelling add and multiply: Knuth, TAOCP vol. 2, 4.5.1).
 The q-combinatorial quantities [u]_q, [k]_q! and the Gaussian binomials
 live here as well.  Every coefficient elsewhere in the package is a QScalar.
 
@@ -54,10 +57,6 @@ class QPoly:
         d = self.d
         return tuple(Fraction(c, d) for c in self.ints)
 
-    @classmethod
-    def const(cls, c):
-        return cls((c,))
-
     @property
     def degree(self):
         return len(self.ints) - 1
@@ -97,11 +96,6 @@ class QPoly:
 
     def __mul__(self, other):
         return _qpoly(pa.mul(self.ints, other.ints), self.d * other.d)
-
-    def scaled(self, f):
-        """Multiply every coefficient by the rational f."""
-        f = Fraction(f)
-        return _qpoly(pa.mul_int(self.ints, f.numerator), self.d * f.denominator)
 
     def times_q_power(self, k):
         if not self.ints:
@@ -172,6 +166,13 @@ class QScalar:
     num/den are fully reduced (their gcd is a unit) and den is monic, so
     two equal field elements compare equal component-wise.
 
+    The constructor canonicalises an arbitrary pair with a full gcd.  The
+    operators rely on their operands being canonical instead: negation
+    runs no gcd; a product cancels gcd(num_a, den_b) and gcd(num_b, den_a)
+    and rescales the denominator to monic; a sum over coprime denominators
+    is already reduced, and otherwise only gcd(t, gcd(den_a, den_b)) can
+    cancel from its numerator t; a quotient is a product by the inverse.
+
     >>> QScalar(QPoly([-1, 0, 1]), QPoly([-1, 1]))    # (q^2-1)/(q-1)
     1 + q
     """
@@ -188,21 +189,13 @@ class QScalar:
             self.den = _ONE_POLY
             return
         if not den.is_one():
-            if den.degree == 0:
-                num = num.scaled(Fraction(den.d, den.ints[0]))
-                den = _ONE_POLY
-            else:
-                n_int, d_int = num.ints, den.ints
+            n_int, d_int = num.ints, den.ints
+            if den.degree > 0:
                 g = pa.gcd(n_int, d_int)
                 if len(g) > 1:
                     n_int = pa.divexact(n_int, g)
                     d_int = pa.divexact(d_int, g)
-                lead = d_int[-1]
-                if lead < 0:
-                    n_int, d_int, lead = pa.neg(n_int), pa.neg(d_int), -lead
-                # (n_int / num.d) / (d_int / den.d), both sides divided by lead / den.d
-                num = _qpoly(pa.mul_int(n_int, den.d), num.d * lead)
-                den = _qpoly(d_int, lead)
+            num, den = _monic(n_int, num.d, d_int, den.d)
         self.num = num
         self.den = den
 
@@ -216,9 +209,6 @@ class QScalar:
 
     def __bool__(self):
         return bool(self.num)
-
-    def is_polynomial(self):
-        return self.den.is_one()
 
     # -- arithmetic ----------------------------------------------------
 
@@ -236,17 +226,40 @@ class QScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return QScalar(self.num + other.num)
-        if self.den == other.den:
-            return QScalar(self.num + other.num, self.den)
-        return QScalar(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        na, da, nb, db = self.num, self.den, other.num, other.den
+        if da.is_one():
+            if db.is_one():
+                return _canonical(na + nb, _ONE_POLY)
+            return _canonical(na * db + nb, db)
+        if db.is_one():
+            return _canonical(nb * da + na, da)
+        if da == db:
+            t = na + nb
+            if not t:
+                return ZERO
+            g = pa.gcd(t.ints, da.ints)
+            if len(g) == 1:
+                return _canonical(t, da)
+            return _canonical(*_monic(pa.divexact(t.ints, g), t.d,
+                                      pa.divexact(da.ints, g), da.d))
+        g = pa.gcd(da.ints, db.ints)
+        if len(g) == 1:
+            return _canonical(na * db + nb * da, da * db)
+        # Henrici: only a factor of g can cancel from the sum
+        da_g = _qpoly(pa.divexact(da.ints, g), da.d)
+        db_g = _qpoly(pa.divexact(db.ints, g), db.d)
+        t = na * db_g + nb * da_g
+        h = pa.gcd(t.ints, g)
+        t_int, da_int = t.ints, da.ints
+        if len(h) > 1:
+            t_int = pa.divexact(t_int, h)
+            da_int = pa.divexact(da_int, h)
+        return _canonical(*_monic(t_int, t.d, pa.mul(da_int, db_g.ints), da.d * db_g.d))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QScalar(-self.num, self.den)
+        return _canonical(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -264,19 +277,37 @@ class QScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return QScalar(self.num * other.num)
-        return QScalar(self.num * other.num, self.den * other.den)
+        na, da, nb, db = self.num, self.den, other.num, other.den
+        if not na or not nb:
+            return ZERO
+        if da.is_one() and db.is_one():
+            return _canonical(na * nb, _ONE_POLY)
+        # Henrici: cross-cancel na against db and nb against da
+        a_int, da_int, b_int, db_int = na.ints, da.ints, nb.ints, db.ints
+        if not db.is_one():
+            g = pa.gcd(a_int, db_int)
+            if len(g) > 1:
+                a_int, db_int = pa.divexact(a_int, g), pa.divexact(db_int, g)
+        if not da.is_one():
+            g = pa.gcd(b_int, da_int)
+            if len(g) > 1:
+                b_int, da_int = pa.divexact(b_int, g), pa.divexact(da_int, g)
+        return _canonical(*_monic(pa.mul(a_int, b_int), na.d * nb.d,
+                                  pa.mul(da_int, db_int), da.d * db.d))
 
     __rmul__ = __mul__
+
+    def _inverse(self):
+        if self.is_zero():
+            raise DivisionByZero("division by zero in Q(q)")
+        num, den = self.num, self.den
+        return _canonical(*_monic(den.ints, den.d, num.ints, num.d))
 
     def __truediv__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if other.is_zero():
-            raise DivisionByZero("division by zero in Q(q)")
-        return QScalar(self.num * other.den, self.den * other.num)
+        return self * other._inverse()
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -288,7 +319,7 @@ class QScalar:
         if n < 0:
             if self.is_zero():
                 raise DivisionByZero("negative power of zero in Q(q)")
-            return QScalar(self.den, self.num) ** (-n)
+            return self._inverse() ** (-n)
         result = ONE
         base = self
         while n:
@@ -330,12 +361,6 @@ class QScalar:
             return QScalar(rn.times_q_power(shift), rd)
         return QScalar(rn, rd.times_q_power(-shift))
 
-    def as_fraction(self):
-        """The value as a plain rational; requires a constant element."""
-        if self.den.is_one() and self.num.degree <= 0:
-            return self.num.leading()
-        raise InvalidArgument("%s is not a constant" % self)
-
     def __str__(self):
         if self.den.is_one():
             return str(self.num)
@@ -348,6 +373,26 @@ class QScalar:
         return "%s/%s" % (num_s, den_s)
 
     __repr__ = __str__
+
+
+def _monic(n_int, n_d, d_int, d_d):
+    """The QPoly pair of (n_int / n_d) / (d_int / d_d), rescaled so the
+    denominator is monic; n_int and d_int are nonzero, trimmed and prime to
+    each other in Q[q]."""
+    lead = d_int[-1]
+    if lead < 0:
+        n_int, d_int, lead = pa.neg(n_int), pa.neg(d_int), -lead
+    # both sides divided by lead / d_d
+    return _qpoly(pa.mul_int(n_int, d_d), n_d * lead), _qpoly(d_int, lead)
+
+
+def _canonical(num, den):
+    """The QScalar num/den from a pair that is already canonical: reduced,
+    den monic, and den == 1 if num == 0.  Runs no gcd."""
+    s = object.__new__(QScalar)
+    s.num = num
+    s.den = den
+    return s
 
 
 ZERO = QScalar(0)

@@ -223,6 +223,17 @@ class TestBadNumbers:
         assert code == 0
         assert "weyl: ok (1 trials)" in out
 
+    @pytest.mark.parametrize("verb", ["dirac", "euler", "gamma", "laplace", "deriv", "eval",
+                                      "fischer", "ck"])
+    @pytest.mark.parametrize("value", ["0", "-1", "9"])
+    def test_m_bounds_rejected(self, capsys, verb, value):
+        extra = ["--var", "1"] if verb == "deriv" else []
+        code, out, err = run(capsys, verb, "--m", value, *extra, "x1")
+        assert code == 2
+        assert out == ""
+        assert "argument --m" in err
+        assert "Traceback" not in err
+
 
 class TestNoTraceback:
     def test_deep_nesting_is_parse_error(self, capsys):

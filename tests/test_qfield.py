@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qclifford import _polyarith as pa
 from qclifford.errors import DivisionByZero, InvalidArgument, PoleAtEvaluationPoint
 from qclifford.qfield import ONE, Q, ZERO, QPoly, QScalar, q_binomial, q_bracket, q_factorial
 
@@ -277,3 +278,42 @@ class TestRepresentation:
         assert half + half == QPoly([1]) and hash(half + half) == hash(QPoly([1]))
         assert (QPoly([0, Fraction(0, 3)]).ints, QPoly([0, Fraction(0, 3)]).d) == ((), 1)
         assert QPoly([Fraction(1, 2), Fraction(1, 3)]).coeffs == (Fraction(1, 2), Fraction(1, 3))
+
+
+def _assert_canonical_equal(x, ref):
+    assert (x.num, x.den) == (ref.num, ref.den)
+    assert hash(x) == hash(ref)
+    assert x.den.leading() == 1
+    assert pa.gcd(x.num.ints, x.den.ints) == [1]
+
+
+def _over(s, f):
+    return QScalar(s.num, s.den * f)
+
+
+# operands whose denominators share a factor, and operands over one denominator
+shared_factor_pairs = st.tuples(
+    qscalars, qscalars, st.sampled_from([QPoly([1, 1]), QPoly([0, 1]), QPoly([-2, 1]),
+                                         QPoly([1, 0, 1]), QPoly([1, 1]) * QPoly([0, 1])])
+).map(lambda t: (_over(t[0], t[2]), _over(t[1], t[2])))
+same_den_pairs = st.tuples(qpolys, qpolys, qpolys.filter(lambda p: p.degree > 0)).map(
+    lambda t: (QScalar(t[0], t[2]), QScalar(t[1], t[2]))
+)
+operand_pairs = st.one_of(st.tuples(qscalars, qscalars), shared_factor_pairs, same_den_pairs)
+
+
+class TestFastPathsAgreeWithCanonicalization:
+    """The operators skip work their canonical inputs make redundant; each
+    result must still equal the full canonicalisation QScalar(num, den)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(operand_pairs)
+    def test_operations(self, pair):
+        a, b = pair
+        _assert_canonical_equal(a + b, QScalar(a.num * b.den + b.num * a.den, a.den * b.den))
+        _assert_canonical_equal(a - b, QScalar(a.num * b.den - b.num * a.den, a.den * b.den))
+        _assert_canonical_equal(a * b, QScalar(a.num * b.num, a.den * b.den))
+        _assert_canonical_equal(-a, QScalar(-a.num, a.den))
+        if not b.is_zero():
+            _assert_canonical_equal(a / b, QScalar(a.num * b.den, a.den * b.num))
+            _assert_canonical_equal(b**-1, QScalar(b.den, b.num))
