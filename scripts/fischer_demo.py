@@ -30,7 +30,7 @@ def main():
 
     print("dimension of the degree-k monogenic space (nullity of the Dirac matrix)")
     print(f"{'m':>3} {'k':>3} {'dim M_k':>8} {'dim P_k - dim P_(k-1)':>22}")
-    for m in (1, 2, 3):
+    for m in (1, 2, 3, 4):
         for k in range(1, 5):
             nullity = monogenic_dimension(m, k)
             formula = space_dimension(m, k) - space_dimension(m, k - 1)

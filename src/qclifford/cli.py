@@ -23,7 +23,7 @@ from . import ck as ck_mod
 from . import fischer as fischer_mod
 from . import jackson as jackson_mod
 from . import qops
-from .cpoly import evaluate_poly
+from .cpoly import evaluate_poly, vector_variable
 from .errors import InvalidArgument, QCliffordError, SingularSystem
 from .parser import parse_poly, parse_unipoly
 from .randpoly import random_poly
@@ -105,11 +105,32 @@ def _cmd_eval(args):
     return 0
 
 
+def _tower_orthogonal(tower):
+    """Whether every step M_s + x Q_s of the tower is Fischer-orthogonal,
+    where Q_s = sum over t > s of x^(t-s-1) M_t is the cofactor of step s."""
+    comps = tower.components
+    k = len(comps) - 1
+    x = vector_variable(comps[0].m)
+    rest = comps[k]
+    for s in range(k - 1, -1, -1):
+        xQ = x * rest
+        if not fischer_mod.fischer_inner(comps[s], xQ, k - s).is_zero():
+            return False
+        rest = comps[s] + xQ
+    return True
+
+
 def _cmd_fischer(args):
     P = parse_poly(args.expr, args.m)
     tower = fischer_mod.fischer_full(P)
     recomposed = tower.recompose() == P
-    checks = [{"name": "recomposition", "status": "exact" if recomposed else "MISMATCH"}]
+    monogenic = all(qops.is_monogenic(comp) for comp in tower.components)
+    orthogonal = _tower_orthogonal(tower)
+    checks = [
+        {"name": "recomposition", "status": "exact" if recomposed else "MISMATCH"},
+        {"name": "monogenic", "status": str(monogenic).lower()},
+        {"name": "orthogonal", "status": str(orthogonal).lower()},
+    ]
     if getattr(args, "json", False):
         print(json.dumps({
             "command": "fischer",
@@ -122,8 +143,9 @@ def _cmd_fischer(args):
         for s, comp in enumerate(tower.components):
             print("s=%d (degree %d): %s" % (s, k - s, comp))
         print("recomposition: %s" % ("exact" if recomposed else "MISMATCH"))
-    if not recomposed:
-        raise InternalInvariantViolation("tower does not recompose")
+    failed = [c["name"] for c in checks if c["status"] not in ("exact", "true")]
+    if failed:
+        raise InternalInvariantViolation("tower certificate failed: %s" % ", ".join(failed))
     return 0
 
 

@@ -201,8 +201,9 @@ class CliffordPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def _coerce(self, other):

@@ -5,9 +5,12 @@ solving the square linear system q_dirac(x Q) = q_dirac(P) over Q(q) in
 the monomial-blade basis of the degree-(k-1) space.  x and q_dirac keep
 the class of x^alpha e_A in Z_2^m, whose bit l is alpha_l + [l in A] mod 2.
 A class holds one blade per multi-index, so the matrix has 2^m blocks of
-size C(k+m-2, m-1).  Each block is inverted once per (m, k) by
-fraction-free Gauss-Jordan elimination and cached; individual splits are
-then sparse matrix-vector products.
+size C(k+m-2, m-1).  Right multiplication by e_B commutes with x and
+q_dirac and maps class g onto g xor B, so every block is a signed copy of
+the class-0 block.  Only that block is inverted, once per (m, k), by
+fraction-free Gauss-Jordan elimination; the other inverses are its signed
+copies, and all are cached.  Individual splits are then sparse
+matrix-vector products.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from functools import lru_cache
 from math import comb
 
 from ._linalg import invert_ff, rank_ff
-from .clifford import Multivector
+from .clifford import Multivector, blade_product
 from .cpoly import CliffordPoly, vector_variable
 from .errors import NotHomogeneous, SingularSystem
 from .qfield import ONE, ZERO, QPoly, QScalar, q_factorial
@@ -190,7 +193,14 @@ def _graded_blocks(op, m, src, dst):
 
 
 class _StepSolver:
-    """Cached inverse of Q -> q_dirac(x Q) on the degree-(k-1) space."""
+    """Cached inverse of Q -> q_dirac(x Q) on the degree-(k-1) space.
+
+    Only the class-0 block is assembled and inverted.  Right multiplication
+    by e_B commutes with x and q_dirac and sends x^alpha e_A to
+    s x^alpha e_(A xor B), s = +-1, so it maps class 0 onto class B and the
+    class-B block is S block_0 S with S = diag(s).  Its inverse is the
+    signed copy S inv_0 S over the same determinant.
+    """
 
     def __init__(self, m, k):
         self.m = m
@@ -198,13 +208,20 @@ class _StepSolver:
         self.basis = space_basis(m, k - 1)
         self.index = {be: i for i, be in enumerate(self.basis)}
         xv = vector_variable(m)
+        base = [(alpha, _grading_class(alpha, 0))
+                for alpha in monomial_multi_indices(m, k - 1)]
+        [(_, block)] = _graded_blocks(lambda Q: q_dirac(xv * Q), m, base, base)
+        inv, det = invert_ff(block)
+        inv0 = [[QScalar(QPoly(entry)) if entry else ZERO for entry in row] for row in inv]
+        det = QScalar(QPoly(det))
         self.blocks = []
-        blocks = _graded_blocks(lambda Q: q_dirac(xv * Q), m, self.basis, self.basis)
-        for ids, block in blocks:
-            inv, det = invert_ff(block)
-            inv_scalars = [[QScalar(QPoly(entry)) if entry else ZERO for entry in row]
-                           for row in inv]
-            self.blocks.append((ids, inv_scalars, QScalar(QPoly(det))))
+        for b in range(1 << m):
+            B = b << 1
+            ids = [self.index[(alpha, mask ^ B)] for alpha, mask in base]
+            signs = [blade_product(mask, B)[0] for _, mask in base]
+            inv_B = [[c if si * sj > 0 else -c for sj, c in zip(signs, row)]
+                     for si, row in zip(signs, inv0)]
+            self.blocks.append((ids, inv_B, det))
 
     def solve(self, rhs):
         out = [ZERO] * len(self.basis)

@@ -10,6 +10,14 @@ variables in one-dimensional mode).  Division is valid whenever the
 divisor is a scalar constant; this covers rational literals like 1/2 and
 makes every canonical rendering reparse.  Parentheses and unary minus
 nest at most MAX_DEPTH levels deep; deeper input is a ParseError.
+
+Lowering checks the cost of '^' and '*' before it computes them, so
+hostile input fails at once with InvalidArgument.  An exponent, and the
+product of the exponents nested around any subexpression, may not exceed
+MAX_EXPONENT.  A product (including every multiply and squaring step of a
+power) may not exceed MAX_TERM_PAIRS term pairs: the product of the term
+counts of its factors, where a term is one q-coefficient, numerator or
+denominator, of one monomial-blade coefficient.
 """
 
 from __future__ import annotations
@@ -26,6 +34,14 @@ from .qfield import QPoly, QScalar
 #: nesting limit for parentheses and unary minus; each level costs a few
 #: interpreter frames in the recursive descent and in `lower`
 MAX_DEPTH = 100
+
+#: limit on an exponent and on the product of nested exponents
+MAX_EXPONENT = 1000
+
+#: limit on the term pairs of one product; the slowest accepted products
+#: (many monomials with constant coefficients, about 3.4 us a pair) take
+#: about 1 s on a 2-vCPU VM with CPython 3.11
+MAX_TERM_PAIRS = 300_000
 
 
 @dataclass(frozen=True)
@@ -209,21 +225,46 @@ def _scalar_of(P):
     raise InvalidArgument("divisor must be a scalar constant, got %s" % P)
 
 
+def _terms(P):
+    return sum(len(c.num.ints) + len(c.den.ints)
+               for mv in P.terms.values() for c in mv.terms.values())
+
+
+def _product(left, right):
+    pairs = _terms(left) * _terms(right)
+    if pairs > MAX_TERM_PAIRS:
+        raise InvalidArgument("product of %d term pairs exceeds the limit of %d"
+                              % (pairs, MAX_TERM_PAIRS))
+    return left * right
+
+
+def _power(P, n):
+    result = CliffordPoly.one(P.m)
+    while n:
+        if n & 1:
+            result = _product(result, P)
+        n >>= 1
+        if n:
+            P = _product(P, P)
+    return result
+
+
 def _binop(op, left, right):
     if op == "+":
         return left + right
     if op == "-":
         return left - right
     if op == "*":
-        return left * right
+        return _product(left, right)
     divisor = _scalar_of(right)
     if divisor.is_zero():
         raise DivisionByZero("division by zero expression")
     return left * (QScalar(1) / divisor)
 
 
-def lower(expr, m):
-    """Evaluate an AST in the polynomial algebra."""
+def lower(expr, m, scale=1):
+    """Evaluate an AST in the polynomial algebra.  scale is the product of
+    the exponents around expr."""
     if isinstance(expr, Num):
         return CliffordPoly.scalar(QScalar(QPoly((expr.value,))), m)
     if isinstance(expr, SymQ):
@@ -233,9 +274,15 @@ def lower(expr, m):
     if isinstance(expr, Gen):
         return CliffordPoly.generator(expr.index, m)
     if isinstance(expr, Neg):
-        return -lower(expr.operand, m)
+        return -lower(expr.operand, m, scale)
     if isinstance(expr, Pow):
-        return lower(expr.base, m) ** expr.exponent
+        n = expr.exponent
+        if n > MAX_EXPONENT:
+            raise InvalidArgument("exponent %d exceeds the limit of %d" % (n, MAX_EXPONENT))
+        if scale * n > MAX_EXPONENT:
+            raise InvalidArgument("nested exponents multiply to %d, over the limit of %d"
+                                  % (scale * n, MAX_EXPONENT))
+        return _power(lower(expr.base, m, scale * n), n)
     if isinstance(expr, BinOp):
         # a chain like a + b + c nests to the left as deep as it is long,
         # so walk that spine in a loop
@@ -243,9 +290,9 @@ def lower(expr, m):
         while isinstance(expr, BinOp):
             spine.append(expr)
             expr = expr.left
-        acc = lower(expr, m)
+        acc = lower(expr, m, scale)
         for node in reversed(spine):
-            acc = _binop(node.op, acc, lower(node.right, m))
+            acc = _binop(node.op, acc, lower(node.right, m, scale))
         return acc
     raise TypeError("not an expression node: %r" % (expr,))
 

@@ -1,6 +1,7 @@
 """Command front end: outputs, JSON mode, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -71,6 +72,45 @@ class TestFischer:
             acc = acc + power * parse_poly(payload["result"][s], 2)
             power = power * xv
         assert acc == parse_poly("x1^2", 2)
+
+    def test_json_certificates(self, capsys):
+        code, out, _ = run(capsys, "fischer", "--m", "2", "--json", "--", "x1^2*x2*e1")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert [c["name"] for c in checks] == ["recomposition", "monogenic", "orthogonal"]
+        assert [c["status"] for c in checks] == ["exact", "true", "true"]
+
+    def test_wrong_solve_fails_certificates(self, capsys, monkeypatch):
+        from qclifford.fischer import _StepSolver
+
+        solve = _StepSolver.solve
+        monkeypatch.setattr(_StepSolver, "solve",
+                            lambda self, rhs: [c + c for c in solve(self, rhs)])
+        code, out, err = run(capsys, "fischer", "--m", "2", "--json", "--", "x1^2*x2*e1")
+        assert code == 3
+        assert "Traceback" not in err
+        statuses = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+        assert statuses == {"recomposition": "exact", "monogenic": "false",
+                            "orthogonal": "false"}
+
+
+class TestPowerLimits:
+    @pytest.mark.parametrize("expr", ["q^100000000", "(((1+q)^50)^50)^50", "x1^1001",
+                                      "(q^10)^101", "(x1+x2+e1)^60",
+                                      "(x1+x2+e1)^32*(x1+x2+e1)^32"])
+    def test_hostile_power_exits_2(self, capsys, expr):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "dirac", "--m", "2", "--", expr)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert time.perf_counter() - start < 10
+
+    @pytest.mark.parametrize("expr", ["q^1000", "(q^10)^100", "(x1+x2+e1)^30"])
+    def test_power_at_the_limits_is_accepted(self, capsys, expr):
+        code, out, _ = run(capsys, "eval", "--m", "2", "--q0", "1", "--point", "1,1", "--",
+                           expr)
+        assert code == 0
 
 
 class TestVerify:

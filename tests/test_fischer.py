@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from qclifford import _polyarith as pa
 from qclifford.clifford import Multivector
 from qclifford.cpoly import CliffordPoly, vector_variable
 from qclifford.errors import NotHomogeneous, SingularSystem
 from qclifford.fischer import (
     FischerSplit,
     _graded_blocks,
+    _step_solver,
     fischer_adjoint_check,
     fischer_full,
     fischer_inner,
@@ -239,6 +241,42 @@ class TestFischerStep:
             assert t.cofactor == s.cofactor * eB
 
 
+class TestSolverCertificate:
+    @staticmethod
+    def int_poly(c):
+        assert c.den.is_one() and c.num.d == 1
+        return list(c.num.ints)
+
+    @pytest.mark.parametrize("m, kmax", [(1, 4), (2, 4), (3, 4), (4, 3)])
+    def test_block_times_inverse_is_det_identity(self, m, kmax):
+        # every class block, assembled on the full basis apart from the
+        # solver, times the solver's inverse of that class is det * I over Z[q]
+        for k in range(1, kmax + 1):
+            xv = vector_variable(m)
+            basis = space_basis(m, k - 1)
+            matrix = {}
+            for ids, block in _graded_blocks(lambda R: q_dirac(xv * R), m, basis, basis):
+                for r, row in enumerate(block):
+                    for c, entry in enumerate(row):
+                        matrix[ids[r], ids[c]] = entry
+            solver = _step_solver(m, k)
+            assert len(solver.blocks) == 1 << m
+            covered = set()
+            for ids, inv, det in solver.blocks:
+                covered.update(ids)
+                d = self.int_poly(det)
+                for a in ids:
+                    for b_loc, b in enumerate(ids):
+                        acc = []
+                        for j_loc, j in enumerate(ids):
+                            inv_jb = inv[j_loc][b_loc]
+                            if not inv_jb.is_zero():
+                                acc = pa.add(acc, pa.mul(matrix.get((a, j), []),
+                                                         self.int_poly(inv_jb)))
+                        assert acc == (d if a == b else []), (m, k, a, b)
+            assert covered == set(range(len(basis)))
+
+
 def grading_class(alpha, mask):
     """Independent oracle: the bits alpha_l + [l in A] mod 2, l = 1..m."""
     return tuple((alpha[l] + (mask >> l & 1)) % 2 for l in range(1, len(alpha)))
@@ -298,6 +336,16 @@ class TestFischerFull:
         for comp in tower.components:
             assert is_monogenic(comp)
 
+    def test_seeded_m4_degree4_tower(self):
+        rng = random.Random(71)
+        P = random_homogeneous_poly(rng, 4, 4)
+        assert not P.is_zero()
+        tower = fischer_full(P)
+        assert len(tower.components) == 5
+        assert tower.recompose() == P
+        for comp in tower.components:
+            assert is_monogenic(comp)
+
     def test_random_towers(self):
         rng = random.Random(67)
         for _ in range(10):
@@ -312,7 +360,7 @@ class TestFischerFull:
 
 class TestDimensions:
     def test_monogenic_dimension_formula(self):
-        for m, kmax in ((1, 3), (2, 3), (3, 4), (4, 3)):
+        for m, kmax in ((1, 3), (2, 3), (3, 4), (4, 4)):
             for k in range(1, kmax + 1):
                 assert monogenic_dimension(m, k) == space_dimension(m, k) - space_dimension(
                     m, k - 1
