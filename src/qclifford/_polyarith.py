@@ -2,12 +2,16 @@
 
 Polynomials are plain lists of ints, lowest degree first, no trailing
 zeros; the zero polynomial is the empty list.  Shared by the Q(q)
-canonicalization (primitive-PRS gcd) and the fraction-free solver.
+canonicalization and the fraction-free solver.  `gcd` is the heuristic
+gcd GCDHEU: one integer gcd of two values, read back as a polynomial, and
+it returns the cofactors it proves it with, so a caller never divides by
+the gcd a second time.
 """
 
 from __future__ import annotations
 
 from math import gcd as int_gcd
+from math import isqrt
 
 
 def trim(cs):
@@ -66,46 +70,87 @@ def content(a):
     return g
 
 
+def _signed_content(a):
+    """The content of a nonzero a, with the sign of its leading coefficient."""
+    g = content(a)
+    return -g if a[-1] < 0 else g
+
+
 def primitive(a):
     """Content-free copy with positive leading coefficient."""
     if not a:
         return []
-    g = content(a)
-    if a[-1] < 0:
-        g = -g
+    g = _signed_content(a)
     return [c // g for c in a]
 
 
-def pseudo_rem(a, b):
-    """Remainder of a scaled copy of a modulo b, all-integer.
+def _value(a, x):
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
+    return v
 
-    Equals lc(b)^s * a mod b for some s, which is all the primitive PRS
-    needs since the result is re-primitivized anyway.
-    """
-    if not b:
-        raise ZeroDivisionError("pseudo-remainder by zero polynomial")
-    r = list(a)
-    db = deg(b)
-    lb = b[-1]
-    while r and deg(r) >= db:
-        dr = deg(r)
-        lead = r[-1]
-        r = [lb * c for c in r]
-        for j in range(len(b)):
-            r[dr - db + j] -= lead * b[j]
-        trim(r)
-    return r
+
+def _digits(h, x):
+    """The symmetric base-x digits of h, digits in (-x/2, x/2]."""
+    out = []
+    half = x >> 1
+    while h:
+        h, d = divmod(h, x)
+        if d > half:
+            d -= x
+            h += 1
+        out.append(d)
+    return out
 
 
 def gcd(a, b):
-    """Primitive gcd via the primitive polynomial remainder sequence."""
+    """Primitive gcd of a and b with its cofactors: (g, a // g, b // g).
+
+    g has content 1 and a positive leading coefficient.  A nonzero
+    constant input gives ([1], a, b) at once; gcd([], b) is the primitive
+    part of b; gcd([], []) is ([], [], []).
+
+    GCDHEU (Char, Geddes & Gonnet, J. Symb. Comp. 7, 1989): with
+    a = ca*A and b = cb*B for primitive A, B and signed contents ca, cb,
+    take h = gcd(A(x), B(x)) over the integers at one point
+    x >= 2*min(|A|_inf, |B|_inf) + 2 and let G be the primitive part of
+    the polynomial whose coefficients are the symmetric base-x digits of h.
+
+    Correct: if G divides both A and B, then G is their gcd (Geddes,
+    Czapor & Labahn, Algorithms for Computer Algebra, 7.7).  The exact
+    divisions that check this are the cofactors returned.
+
+    Stops: write A = C*A', B = C*B' with C the true gcd.  Then
+    h = |C(x)| * gcd(A'(x), B'(x)), and the second factor divides the
+    resultant of the coprime A' and B', a constant.  Once x outgrows that
+    spurious factor times the coefficients of C, the digits of h are
+    +-c*C exactly and G = C; each retry grows x by a factor of about
+    2.7 * x^(1/4).
+    """
     if (len(a) == 1 and b) or (len(b) == 1 and a):
-        return [1]  # a nonzero constant is a unit
-    a = primitive(a)
-    b = primitive(b)
-    while b:
-        a, b = b, primitive(pseudo_rem(a, b))
-    return a
+        return [1], a, b  # a nonzero constant is a unit
+    if not a or not b:
+        g = primitive(a or b)
+        if not g:
+            return [], [], []
+        unit = [(a or b)[-1] // g[-1]]
+        return (g, [], unit) if not a else (g, unit, [])
+    ca, cb = _signed_content(a), _signed_content(b)
+    A = a if ca == 1 else [c // ca for c in a]
+    B = b if cb == 1 else [c // cb for c in b]
+    x = 2 * min(max(map(abs, A)), max(map(abs, B))) + 29
+    while True:
+        g = primitive(_digits(int_gcd(_value(A, x), _value(B, x)), x))
+        if g == [1]:
+            return g, a, b
+        try:
+            qa, qb = divexact(A, g), divexact(B, g)
+        except ArithmeticError:
+            pass
+        else:
+            return g, mul_int(qa, ca), mul_int(qb, cb)
+        x = x * 73794 * isqrt(isqrt(x)) // 27011
 
 
 def divexact(a, b):

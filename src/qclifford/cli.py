@@ -18,6 +18,7 @@ import random
 import sys
 import zlib
 from fractions import Fraction
+from math import comb, prod
 
 from . import ck as ck_mod
 from . import fischer as fischer_mod
@@ -27,6 +28,25 @@ from .cpoly import evaluate_poly, vector_variable
 from .errors import InvalidArgument, QCliffordError, SingularSystem
 from .parser import parse_poly, parse_unipoly
 from .randpoly import random_poly
+
+
+#: largest `jackson exp --order`; the slower variant takes 0.4-0.9 s at
+#: order 64 on a 2-vCPU VM with CPython 3.11
+MAX_ORDER = 64
+
+#: limit on n^2 * k for a degree-k `fischer` input over m variables, n =
+#: C(k+m-2, m-1) being the class-0 block its solver inverts; n alone does
+#: not bound the cost, since the block's q-degrees grow with k ((m, k) =
+#: (2, 21), n = 21, ran over 150 s).  The slowest accepted towers, at
+#: (2, 14), take 6-12 s on a 2-vCPU VM with CPython 3.11
+MAX_FISCHER_WORK = 3000
+
+#: limit on r * k^3 for a degree-k `ck` input over m variables, where
+#: r = min(sum over its monomials x^alpha of prod(alpha_i + 1), C(k+m, m))
+#: bounds the monomials the k Dirac passes of the series reach, whose
+#: q-coefficients grow with k.  The slowest accepted input measured, x1^55,
+#: takes 7.8 s on a 2-vCPU VM with CPython 3.11; x1^80 runs over 60 s
+MAX_CK_WORK = 10_000_000
 
 
 class InternalInvariantViolation(Exception):
@@ -122,6 +142,13 @@ def _tower_orthogonal(tower):
 
 def _cmd_fischer(args):
     P = parse_poly(args.expr, args.m)
+    k = P.homogeneous_degree()
+    if k:
+        n = comb(k + args.m - 2, args.m - 1)
+        if n * n * k > MAX_FISCHER_WORK:
+            raise InvalidArgument(
+                "degree %d at m = %d is over the fischer size limit: block %d, "
+                "%d^2 * %d > %d" % (k, args.m, n, n, k, MAX_FISCHER_WORK))
     tower = fischer_mod.fischer_full(P)
     recomposed = tower.recompose() == P
     monogenic = all(qops.is_monogenic(comp) for comp in tower.components)
@@ -151,6 +178,11 @@ def _cmd_fischer(args):
 
 def _cmd_ck(args):
     f = parse_poly(args.expr, args.m)
+    k = f.total_degree()
+    reach = min(sum(prod(a + 1 for a in alpha) for alpha in f.terms), comb(k + f.m, f.m))
+    if reach * k ** 3 > MAX_CK_WORK:
+        raise InvalidArgument("degree %d reaching %d monomials is over the ck size limit: "
+                              "%d * %d^3 > %d" % (k, reach, reach, k, MAX_CK_WORK))
     F = ck_mod.ck_extend(f)
     monogenic = ck_mod.extended_dirac(F).is_zero()
     restricts = ck_mod.restrict_x0(F) == f
@@ -297,8 +329,8 @@ def build_parser():
     pi.add_argument("expr")
     pe = jsub.add_parser("exp")
     pe.add_argument("--variant", choices=("E", "e"), default="E")
-    pe.add_argument("--order", type=int, required=True,
-                    help="truncation order (always explicit)")
+    pe.add_argument("--order", type=_int_in(0, MAX_ORDER), required=True,
+                    help="truncation order, 0..%d (always explicit)" % MAX_ORDER)
     pe.add_argument("--json", action="store_true")
     pe.set_defaults(expr=None)
     p.set_defaults(func=_cmd_jackson)

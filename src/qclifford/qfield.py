@@ -8,7 +8,9 @@ polynomial arithmetic runs in Z[q] on the kernel in `_polyarith`.
 monic denominator), so equal field elements are structurally identical.
 `QScalar(num, den)` is the one full canonicalisation; the operators start
 from canonical operands and do only the work those leave open (Henrici's
-cross-cancelling add and multiply: Knuth, TAOCP vol. 2, 4.5.1).
+cross-cancelling add and multiply: Knuth, TAOCP vol. 2, 4.5.1).  Every
+cancellation is one call of the heuristic gcd `_polyarith.gcd`, whose
+cofactors are the reduced operands, so no gcd is divided out twice.
 The q-combinatorial quantities [u]_q, [k]_q! and the Gaussian binomials
 live here as well.  Every coefficient elsewhere in the package is a QScalar.
 
@@ -191,10 +193,7 @@ class QScalar:
         if not den.is_one():
             n_int, d_int = num.ints, den.ints
             if den.degree > 0:
-                g = pa.gcd(n_int, d_int)
-                if len(g) > 1:
-                    n_int = pa.divexact(n_int, g)
-                    d_int = pa.divexact(d_int, g)
+                _, n_int, d_int = pa.gcd(n_int, d_int)
             num, den = _monic(n_int, num.d, d_int, den.d)
         self.num = num
         self.den = den
@@ -237,23 +236,19 @@ class QScalar:
             t = na + nb
             if not t:
                 return ZERO
-            g = pa.gcd(t.ints, da.ints)
+            g, t_g, da_g = pa.gcd(t.ints, da.ints)
             if len(g) == 1:
                 return _canonical(t, da)
-            return _canonical(*_monic(pa.divexact(t.ints, g), t.d,
-                                      pa.divexact(da.ints, g), da.d))
-        g = pa.gcd(da.ints, db.ints)
+            return _canonical(*_monic(t_g, t.d, da_g, da.d))
+        g, da_g_int, db_g_int = pa.gcd(da.ints, db.ints)
         if len(g) == 1:
             return _canonical(na * db + nb * da, da * db)
         # Henrici: only a factor of g can cancel from the sum
-        da_g = _qpoly(pa.divexact(da.ints, g), da.d)
-        db_g = _qpoly(pa.divexact(db.ints, g), db.d)
-        t = na * db_g + nb * da_g
-        h = pa.gcd(t.ints, g)
-        t_int, da_int = t.ints, da.ints
-        if len(h) > 1:
-            t_int = pa.divexact(t_int, h)
-            da_int = pa.divexact(da_int, h)
+        db_g = _qpoly(db_g_int, db.d)
+        t = na * db_g + nb * _qpoly(da_g_int, da.d)
+        h, t_int, g_h = pa.gcd(t.ints, g)
+        # da / h = (g / h) * (da / g)
+        da_int = da.ints if len(h) == 1 else pa.mul(g_h, da_g_int)
         return _canonical(*_monic(t_int, t.d, pa.mul(da_int, db_g.ints), da.d * db_g.d))
 
     __radd__ = __add__
@@ -285,13 +280,9 @@ class QScalar:
         # Henrici: cross-cancel na against db and nb against da
         a_int, da_int, b_int, db_int = na.ints, da.ints, nb.ints, db.ints
         if not db.is_one():
-            g = pa.gcd(a_int, db_int)
-            if len(g) > 1:
-                a_int, db_int = pa.divexact(a_int, g), pa.divexact(db_int, g)
+            _, a_int, db_int = pa.gcd(a_int, db_int)
         if not da.is_one():
-            g = pa.gcd(b_int, da_int)
-            if len(g) > 1:
-                b_int, da_int = pa.divexact(b_int, g), pa.divexact(da_int, g)
+            _, b_int, da_int = pa.gcd(b_int, da_int)
         return _canonical(*_monic(pa.mul(a_int, b_int), na.d * nb.d,
                                   pa.mul(da_int, db_int), da.d * db.d))
 

@@ -2,9 +2,12 @@
 
 These reimplement the classical (non-deformed) operators and the literal
 difference quotient from first principles, without touching the q-bracket
-machinery, so agreement with the package is a genuine cross-check.
+machinery, and the Z[q] gcd by the primitive polynomial remainder
+sequence instead of the library's heuristic gcd, so agreement with the
+package is a genuine cross-check.
 """
 
+from qclifford import _polyarith as pa
 from qclifford.cpoly import CliffordPoly, q_shift
 from qclifford.qfield import ONE, Q, QScalar
 
@@ -67,3 +70,33 @@ def classical_laplace(P):
     for i in range(1, P.m + 1):
         acc = acc + classical_partial(classical_partial(P, i), i)
     return acc
+
+
+def pseudo_rem(a, b):
+    """Remainder of a scaled copy of a modulo b, all-integer.
+
+    Equals lc(b)^s * a mod b for some s, which is all the primitive PRS
+    needs since the result is re-primitivized anyway.
+    """
+    if not b:
+        raise ZeroDivisionError("pseudo-remainder by zero polynomial")
+    r = list(a)
+    db = pa.deg(b)
+    lb = b[-1]
+    while r and pa.deg(r) >= db:
+        dr = pa.deg(r)
+        lead = r[-1]
+        r = [lb * c for c in r]
+        for j in range(len(b)):
+            r[dr - db + j] -= lead * b[j]
+        pa.trim(r)
+    return r
+
+
+def prs_gcd(a, b):
+    """Primitive gcd over Z[q] via the primitive polynomial remainder sequence."""
+    a = pa.primitive(a)
+    b = pa.primitive(b)
+    while b:
+        a, b = b, pa.primitive(pseudo_rem(a, b))
+    return a

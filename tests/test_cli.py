@@ -1,12 +1,16 @@
 """Command front end: outputs, JSON mode, exit codes."""
 
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qclifford import qops
-from qclifford.cli import main
+from qclifford.cli import MAX_CK_WORK, MAX_FISCHER_WORK, MAX_ORDER, main
 from qclifford.cpoly import CliffordPoly
 from qclifford.parser import parse_poly
 
@@ -111,6 +115,109 @@ class TestPowerLimits:
         code, out, _ = run(capsys, "eval", "--m", "2", "--q0", "1", "--point", "1,1", "--",
                            expr)
         assert code == 0
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize("order", [str(MAX_ORDER + 1), "100000000"])
+    def test_jackson_order_over_limit_exits_2(self, capsys, order):
+        code, out, err = run(capsys, "jackson", "exp", "--order", order)
+        assert code == 2
+        assert out == ""
+        assert "argument --order" in err and "Traceback" not in err
+
+    def test_jackson_order_at_limit_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "jackson", "exp", "--variant", "e",
+                           "--order", str(MAX_ORDER))
+        assert code == 0
+        assert "t^%d" % MAX_ORDER in out
+
+    @pytest.mark.parametrize("m,expr", [("8", "x1^20"), ("2", "x1^15"), ("3", "x1^7*e2"),
+                                        ("8", "x1*x2*x3")])
+    def test_fischer_over_limit_exits_2(self, capsys, m, expr):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "fischer", "--m", m, "--", expr)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(MAX_FISCHER_WORK) in err
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("m,expr", [("1", "x1^56"), ("1", "x1^1000"),
+                                        ("3", "(x1+x2+x3)^30"), ("7", "((x3)^12)^12")])
+    def test_ck_over_limit_exits_2(self, capsys, m, expr):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "ck", "--m", m, "--", expr)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(MAX_CK_WORK) in err
+        assert time.perf_counter() - start < 1
+
+
+# expressions of at most 30 characters over x1..x8 e1..e8 q t 0-9 +-*/^(),
+# t being the variable of the jackson verbs: token strings, mostly
+# malformed, and strings from the grammar, mostly well formed
+_ATOMS = ["x%d" % i for i in range(1, 9)] + ["e%d" % i for i in range(1, 9)] + ["q", "t"]
+_TOKENS = _ATOMS + list("0123456789+-*/^()")
+_atoms = st.one_of(st.sampled_from(_ATOMS), st.integers(min_value=0, max_value=99).map(str))
+_grammar = st.recursive(_atoms, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from("+-*/"), inner).map("".join),
+    st.tuples(inner, st.integers(min_value=0, max_value=12)).map(lambda p: "(%s)^%d" % p),
+    inner.map(lambda s: "-(%s)" % s)), max_leaves=6)
+_exprs = st.one_of(st.lists(st.sampled_from(_TOKENS), max_size=30).map("".join),
+                   _grammar).map(lambda s: s[:30])
+_ints = st.integers(min_value=-2, max_value=12).map(str)
+_bad = st.sampled_from(["-1", "0", "x", "", "1/0", "10**9", "99999999999999999999"])
+_rationals = st.one_of(st.sampled_from(["0", "1", "-1", "1/2", "-3/4", "2"]), _bad)
+
+
+@st.composite
+def _argv(draw):
+    """One command line: a verb and its options, each from its valid range
+    or from invalid values.  verify's valid --degree and --trials come from
+    the cheap end of their ranges: the top of those ranges is slow by
+    design, not a hang."""
+    verb = draw(st.sampled_from(["dirac", "euler", "gamma", "laplace", "deriv", "eval",
+                                 "fischer", "ck", "verify", "jackson"]))
+    m = ["--m", draw(st.one_of(st.integers(min_value=1, max_value=8).map(str), _bad))]
+    json_flag = draw(st.sampled_from([[], ["--json"]]))
+    if verb == "verify":
+        argv = ["verify", "--relation",
+                draw(st.sampled_from(list(qops.RELATION_NAMES) + ["nonsense"])),
+                "--degree", draw(st.one_of(st.sampled_from(["0", "1", "2"]), _bad)),
+                "--trials", draw(st.one_of(st.sampled_from(["1", "2"]), _bad)),
+                "--seed", draw(_ints)] + m
+        return argv + json_flag
+    if verb == "jackson":
+        sub = draw(st.sampled_from(["deriv", "integrate", "exp"]))
+        if sub == "exp":
+            order = draw(st.one_of(st.integers(min_value=0, max_value=MAX_ORDER).map(str),
+                                   st.just(str(MAX_ORDER + 1)), _bad))
+            return ["jackson", "exp", "--variant", draw(st.sampled_from(["E", "e", "x"])),
+                    "--order", order] + json_flag
+        extra = []
+        if sub == "integrate":
+            extra = ["--a", draw(_rationals), "--b", draw(_rationals)]
+        return ["jackson", sub] + extra + json_flag + ["--", draw(_exprs)]
+    extra = []
+    if verb == "deriv":
+        extra = ["--var", draw(_ints)]
+    elif verb == "eval":
+        extra = ["--q0", draw(_rationals)]
+        if draw(st.booleans()):
+            extra += ["--point", ",".join(draw(st.lists(_rationals, max_size=9)))]
+    return [verb] + m + extra + json_flag + ["--", draw(_exprs)]
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_argv())
+    def test_main_exits_0_or_2_without_traceback(self, argv):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
 
 
 class TestVerify:
