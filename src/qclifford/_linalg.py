@@ -24,6 +24,22 @@ def _pick_pivot(rows, candidates, col):
     return best
 
 
+def _bareiss_step(row, lead, c, pivot, prev, start):
+    """row <- (pivot*row - row[c]*lead) / prev over columns start.., exactly.
+
+    A row with row[c] == [] is still rescaled by pivot/prev, as the
+    recurrence requires; column c itself comes out [].  Zero products are
+    skipped, not computed: the blocks are sparse, and rank_ff's rows mostly
+    have row[c] == [].
+    """
+    factor = row[c]
+    for j in range(start, len(row)):
+        num = pa.mul(row[j], pivot) if row[j] else []
+        if factor and lead[j]:
+            num = pa.sub(num, pa.mul(factor, lead[j]))
+        row[j] = pa.divexact(num, prev) if num else []
+
+
 def invert_ff(matrix):
     """Gauss-Jordan Bareiss inverse of a square matrix over Z[q].
 
@@ -34,7 +50,6 @@ def invert_ff(matrix):
     n = len(matrix)
     rows = [list(row) + [[1] if i == j else [] for j in range(n)]
             for i, row in enumerate(matrix)]
-    width = 2 * n
     prev = [1]
     for c in range(n):
         r = _pick_pivot(rows, range(c, n), c)
@@ -44,21 +59,8 @@ def invert_ff(matrix):
             rows[c], rows[r] = rows[r], rows[c]
         pivot = rows[c][c]
         for i in range(n):
-            if i == c:
-                continue
-            row = rows[i]
-            factor = row[c]
-            if factor:
-                lead = rows[c]
-                for j in range(width):
-                    num = pa.sub(pa.mul(row[j], pivot), pa.mul(factor, lead[j]))
-                    row[j] = pa.divexact(num, prev) if num else []
-            else:
-                # the Bareiss recurrence rescales by pivot/prev even when
-                # nothing is eliminated from the row
-                for j in range(width):
-                    if row[j]:
-                        row[j] = pa.divexact(pa.mul(row[j], pivot), prev)
+            if i != c:
+                _bareiss_step(rows[i], rows[c], c, pivot, prev, 0)
         prev = pivot
     det = rows[n - 1][n - 1]
     return [row[n:] for row in rows], det
@@ -82,19 +84,8 @@ def rank_ff(matrix):
         if r != rank:
             rows[rank], rows[r] = rows[r], rows[rank]
         pivot = rows[rank][c]
-        lead = rows[rank]
         for i in range(rank + 1, n):
-            row = rows[i]
-            factor = row[c]
-            if factor:
-                for j in range(c, ncols):
-                    num = pa.sub(pa.mul(row[j], pivot), pa.mul(factor, lead[j]))
-                    row[j] = pa.divexact(num, prev) if num else []
-                row[c] = []
-            else:
-                for j in range(c, ncols):
-                    if row[j]:
-                        row[j] = pa.divexact(pa.mul(row[j], pivot), prev)
+            _bareiss_step(rows[i], rows[rank], c, pivot, prev, c)
         prev = pivot
         rank += 1
     return rank

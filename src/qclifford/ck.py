@@ -13,20 +13,12 @@ from .clifford import Multivector
 from .cpoly import CliffordPoly
 from .errors import SingularSystem, UsesExtendedAlgebra
 from .qfield import ONE, q_factorial
-from .qops import q_partial
+from .qops import _dirac_vector_part, q_partial
 
 
 def e0bar(m):
     """conj(e0) = -e0 as a constant polynomial."""
     return CliffordPoly.from_multivector(-Multivector.basis(0, m))
-
-
-def _dirac_vector_part(F):
-    """-sum_{i=1..m} e_i d_i^q, defined on extended-algebra content too."""
-    acc = CliffordPoly.zero(F.m)
-    for i in range(1, F.m + 1):
-        acc = acc - CliffordPoly.generator(i, F.m) * q_partial(F, i)
-    return acc
 
 
 def extended_dirac(F):

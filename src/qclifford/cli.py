@@ -287,7 +287,7 @@ def build_parser():
 
     p = sub.add_parser("deriv", help="apply one q-partial derivative")
     common(p)
-    p.add_argument("--var", type=int, required=True, help="variable index")
+    p.add_argument("--var", type=int, required=True, help="variable index 0..m (0 is x0)")
     p.set_defaults(func=_cmd_deriv)
 
     p = sub.add_parser("eval", help="evaluate at a rational point and q0")

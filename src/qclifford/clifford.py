@@ -59,9 +59,9 @@ class Multivector:
     '-e1*e2'
     """
 
-    __slots__ = ("m", "uses_e0", "terms")
+    __slots__ = ("m", "terms")
 
-    def __init__(self, m, terms=None, uses_e0=False):
+    def __init__(self, m, terms=None):
         if m < 1:
             raise InvalidArgument("dimension m must be positive")
         self.m = m
@@ -76,28 +76,25 @@ class Multivector:
                     raise InvalidVariable(
                         "blade %s exceeds dimension %d" % (blade_str(mask), m)
                     )
-                if mask & 1:
-                    uses_e0 = True
                 clean[mask] = coeff
-        self.uses_e0 = uses_e0
         self.terms = clean
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, m, uses_e0=False):
-        return cls(m, None, uses_e0)
+    def zero(cls, m):
+        return cls(m)
 
     @classmethod
-    def scalar(cls, value, m, uses_e0=False):
-        return cls(m, {0: value}, uses_e0)
+    def scalar(cls, value, m):
+        return cls(m, {0: value})
 
     @classmethod
     def basis(cls, i, m):
         """The generator e_i (e0 for i = 0)."""
         if i < 0 or i > m:
             raise InvalidVariable("generator index %d out of range" % i)
-        return cls(m, {1 << i: ONE}, uses_e0=(i == 0))
+        return cls(m, {1 << i: ONE})
 
     @classmethod
     def blade(cls, mask, m):
@@ -123,7 +120,7 @@ class Multivector:
         out = {}
         for mask, c in self.terms.items():
             out[mask] = -c if _conjugation_sign(mask) < 0 else c
-        return Multivector(self.m, out, self.uses_e0)
+        return Multivector(self.m, out)
 
     def _compat(self, other):
         if self.m != other.m:
@@ -140,7 +137,7 @@ class Multivector:
         out = dict(self.terms)
         for mask, c in other.terms.items():
             out[mask] = out.get(mask, ZERO) + c
-        return Multivector(self.m, out, self.uses_e0 or other.uses_e0)
+        return Multivector(self.m, out)
 
     def __sub__(self, other):
         if not isinstance(other, Multivector):
@@ -148,9 +145,7 @@ class Multivector:
         return self + (-other)
 
     def __neg__(self):
-        return Multivector(
-            self.m, {mask: -c for mask, c in self.terms.items()}, self.uses_e0
-        )
+        return Multivector(self.m, {mask: -c for mask, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -166,7 +161,7 @@ class Multivector:
                         out[mask] = out[mask] + c
                     else:
                         out[mask] = c
-            return Multivector(self.m, out, self.uses_e0 or other.uses_e0)
+            return Multivector(self.m, out)
         if isinstance(other, (QScalar, int, Fraction)):
             return self._scaled(other)
         return NotImplemented
@@ -180,9 +175,7 @@ class Multivector:
     def _scaled(self, s):
         if not isinstance(s, QScalar):
             s = QScalar(QPoly((s,)))
-        return Multivector(
-            self.m, {mask: c * s for mask, c in self.terms.items()}, self.uses_e0
-        )
+        return Multivector(self.m, {mask: c * s for mask, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):

@@ -35,9 +35,9 @@ class CliffordPoly:
     '-x1^2'
     """
 
-    __slots__ = ("m", "uses_x0", "uses_e0", "terms")
+    __slots__ = ("m", "terms")
 
-    def __init__(self, m, terms=None, uses_x0=False, uses_e0=False):
+    def __init__(self, m, terms=None):
         if m < 1:
             raise InvalidArgument("dimension m must be positive")
         self.m = m
@@ -52,13 +52,7 @@ class CliffordPoly:
                     continue
                 if len(alpha) != m + 1 or any(a < 0 for a in alpha):
                     raise InvalidArgument("bad multi-index %r" % (alpha,))
-                if alpha[0]:
-                    uses_x0 = True
-                if mv.uses_e0:
-                    uses_e0 = True
                 clean[alpha] = mv
-        self.uses_x0 = uses_x0
-        self.uses_e0 = uses_e0
         self.terms = clean
 
     # -- constructors ----------------------------------------------------
@@ -81,7 +75,7 @@ class CliffordPoly:
         if i < 0 or i > m:
             raise InvalidVariable("variable index %d out of range" % i)
         alpha = tuple(1 if j == i else 0 for j in range(m + 1))
-        return cls(m, {alpha: Multivector.scalar(ONE, m)}, uses_x0=(i == 0))
+        return cls(m, {alpha: Multivector.scalar(ONE, m)})
 
     @classmethod
     def generator(cls, i, m):
@@ -90,7 +84,7 @@ class CliffordPoly:
 
     @classmethod
     def from_multivector(cls, mv):
-        return cls(mv.m, {_zero_alpha(mv.m): mv}, uses_e0=mv.uses_e0)
+        return cls(mv.m, {_zero_alpha(mv.m): mv})
 
     @classmethod
     def monomial(cls, m, alpha, coeff):
@@ -141,9 +135,7 @@ class CliffordPoly:
         for alpha, mv in other.terms.items():
             cur = out.get(alpha)
             out[alpha] = mv if cur is None else cur + mv
-        return CliffordPoly(
-            self.m, out, self.uses_x0 or other.uses_x0, self.uses_e0 or other.uses_e0
-        )
+        return CliffordPoly(self.m, out)
 
     __radd__ = __add__
 
@@ -160,12 +152,7 @@ class CliffordPoly:
         return other - self
 
     def __neg__(self):
-        return CliffordPoly(
-            self.m,
-            {a: -mv for a, mv in self.terms.items()},
-            self.uses_x0,
-            self.uses_e0,
-        )
+        return CliffordPoly(self.m, {a: -mv for a, mv in self.terms.items()})
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -179,9 +166,7 @@ class CliffordPoly:
                 mv = ma * mb
                 cur = out.get(alpha)
                 out[alpha] = mv if cur is None else cur + mv
-        return CliffordPoly(
-            self.m, out, self.uses_x0 or other.uses_x0, self.uses_e0 or other.uses_e0
-        )
+        return CliffordPoly(self.m, out)
 
     def __rmul__(self, other):
         # called for scalar * poly and Multivector * poly; scalars are
@@ -249,12 +234,7 @@ def norm_squared(m):
 
 def homogeneous_part(P, k):
     """The degree-k part of P in the multi-index grading."""
-    return CliffordPoly(
-        P.m,
-        {a: mv for a, mv in P.terms.items() if sum(a) == k},
-        P.uses_x0,
-        P.uses_e0,
-    )
+    return CliffordPoly(P.m, {a: mv for a, mv in P.terms.items() if sum(a) == k})
 
 
 def q_shift(P, i):
@@ -265,7 +245,7 @@ def q_shift(P, i):
     for alpha, mv in P.terms.items():
         e = alpha[i]
         out[alpha] = mv * Q**e if e else mv
-    return CliffordPoly(P.m, out, P.uses_x0, P.uses_e0)
+    return CliffordPoly(P.m, out)
 
 
 def evaluate_poly(P, point, q0):
@@ -283,7 +263,7 @@ def evaluate_poly(P, point, q0):
         if len(point) != P.m:
             raise InvalidArgument("expected %d coordinates" % P.m)
         values = [Fraction(0)] + [Fraction(v) for v in point]
-    acc = Multivector.zero(P.m, P.uses_e0)
+    acc = Multivector.zero(P.m)
     for alpha, mv in P.terms.items():
         factor = Fraction(1)
         for v, e in zip(values, alpha):
@@ -295,5 +275,5 @@ def evaluate_poly(P, point, q0):
             mask: QScalar(QPoly((c.evaluate(q0) * factor,)))
             for mask, c in mv.terms.items()
         }
-        acc = acc + Multivector(P.m, evaluated, mv.uses_e0)
+        acc = acc + Multivector(P.m, evaluated)
     return acc

@@ -31,7 +31,7 @@ def q_partial(P, i):
         mv = mv * q_bracket(a)
         cur = out.get(beta)
         out[beta] = mv if cur is None else cur + mv
-    return CliffordPoly(P.m, out, P.uses_x0, P.uses_e0)
+    return CliffordPoly(P.m, out)
 
 
 def _require_plain(P):
@@ -41,13 +41,18 @@ def _require_plain(P):
         )
 
 
-def q_dirac(P):
-    """q-Dirac operator: minus the sum of e_i times the i-th q-partial."""
-    _require_plain(P)
+def _dirac_vector_part(P):
+    """-sum_{i=1..m} e_i d_i^q, defined on extended-algebra content too."""
     acc = CliffordPoly.zero(P.m)
     for i in range(1, P.m + 1):
         acc = acc - CliffordPoly.generator(i, P.m) * q_partial(P, i)
     return acc
+
+
+def q_dirac(P):
+    """q-Dirac operator: minus the sum of e_i times the i-th q-partial."""
+    _require_plain(P)
+    return _dirac_vector_part(P)
 
 
 def q_euler(P):

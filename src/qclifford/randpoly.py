@@ -26,7 +26,7 @@ def random_multivector(rng, m, max_grade=None, uses_e0=False):
     terms = {}
     for _ in range(rng.randint(1, 2)):
         terms[rng.choice(masks)] = random_scalar(rng)
-    return Multivector(m, terms, uses_e0)
+    return Multivector(m, terms)
 
 
 def random_multi_index(rng, m, degree, uses_x0=False):

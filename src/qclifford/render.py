@@ -8,6 +8,8 @@ composite coefficients parenthesized.
 
 from __future__ import annotations
 
+from .clifford import blade_str
+
 
 def _coefficient_sign_split(c):
     """Pull the sign out of monomial-like coefficients only.
@@ -34,12 +36,7 @@ def _power_str(name, e):
 
 def _term_body(coeff, var_factors, blade_mask):
     pieces = []
-    if blade_mask:
-        blade = "*".join(
-            "e%d" % i for i in range(blade_mask.bit_length()) if blade_mask >> i & 1
-        )
-    else:
-        blade = ""
+    blade = blade_str(blade_mask) if blade_mask else ""
     if not var_factors and not blade:
         return str(coeff)
     if not coeff.is_one():

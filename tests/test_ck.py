@@ -105,6 +105,17 @@ class TestContract:
             ck_extend(x(0, 2))
         with pytest.raises(UsesExtendedAlgebra):
             ck_extend(e(0, 2) * x(1, 2))
+        # cancelled x0/e0 content leaves a plain input; a product's does not
+        m = 2
+        for f in (
+            x(0, m) * e(1, m) - x(0, m) * e(1, m) + x(1, m),
+            e(0, m) * x(2, m) - e(0, m) * x(2, m) + x(1, m),
+        ):
+            assert not f.has_x0() and not f.has_e0()
+            assert ck_extend(f) == ck_extend(x(1, m))
+        for f in (x(0, m) * x(1, m), e(0, m) * e(1, m)):
+            with pytest.raises(UsesExtendedAlgebra):
+                ck_extend(f)
 
 
 class TestNonMultiplicativity:

@@ -33,9 +33,11 @@ class TestOperatorVerbs:
         assert out.strip() == "(2 + q)*x1*x2^2"
 
     def test_deriv(self, capsys):
-        code, out, _ = run(capsys, "deriv", "--m", "2", "--var", "1", "x1^2*x2")
-        assert code == 0
-        assert out.strip() == "(1 + q)*x1*x2"
+        # --var 0 is the x0 derivative
+        for var, expr, want in (("1", "x1^2*x2", "(1 + q)*x1*x2"), ("0", "x0^2", "(1 + q)*x0")):
+            code, out, _ = run(capsys, "deriv", "--m", "2", "--var", var, "--", expr)
+            assert code == 0
+            assert out.strip() == want
 
     def test_gamma_and_laplace(self, capsys):
         code, out, _ = run(capsys, "gamma", "--m", "2", "x1")

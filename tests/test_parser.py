@@ -38,6 +38,12 @@ class TestGrammar:
     def test_x0_e0_allowed(self):
         P = parse_poly("x0*e0", 2)
         assert P.has_x0() and P.has_e0()
+        for text in ("x0*e1 - x0*e1 + x1", "e0*x2 - e0*x2 + x1"):
+            P = parse_poly(text, 2)
+            assert not P.has_x0() and not P.has_e0()
+            assert P == x(1, 2)
+        assert parse_poly("x0*x1", 2).has_x0()
+        assert parse_poly("e0*e1", 2).has_e0()
 
     def test_precedence(self):
         assert parse_poly("1+2*3", 1) == CliffordPoly.scalar(7, 1)

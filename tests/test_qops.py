@@ -87,6 +87,18 @@ class TestQDirac:
             q_dirac(CliffordPoly.variable(0, 2))
         with pytest.raises(UsesExtendedAlgebra):
             q_dirac(CliffordPoly.generator(0, 2))
+        # the check reads the current terms: cancelled x0/e0 content is
+        # plain, extension content made by a product is not
+        m = 2
+        for P in (
+            x(0, m) * e(1, m) - x(0, m) * e(1, m) + x(1, m),
+            e(0, m) * x(2, m) - e(0, m) * x(2, m) + x(1, m),
+        ):
+            assert not P.has_x0() and not P.has_e0()
+            assert q_dirac(P) == q_dirac(x(1, m))
+        for P in (x(0, m) * x(1, m), e(0, m) * e(1, m)):
+            with pytest.raises(UsesExtendedAlgebra):
+                q_dirac(P)
 
 
 class TestQEuler:
