@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 import zlib
 from fractions import Fraction
@@ -48,12 +49,44 @@ MAX_FISCHER_WORK = 3000
 #: takes 7.8 s on a 2-vCPU VM with CPython 3.11; x1^80 runs over 60 s
 MAX_CK_WORK = 10_000_000
 
+#: most digits the numerator or the denominator of a rational option may
+#: have: CPython's int-string limit, which rendering enforces as well.  It
+#: is judged from the text, since `Fraction` would expand any exponent first
+MAX_RATIONAL_DIGITS = 4300
+
+# the shape of a `Fraction` string: integer part, decimal part and exponent,
+# or numerator and denominator
+_RATIONAL_SHAPE = re.compile(
+    r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:e([-+]?)([\d_]+))?(?:\s*/\s*([\d_]+))?\s*\Z",
+    re.IGNORECASE,
+)
+
 
 class InternalInvariantViolation(Exception):
     """A result the library guarantees failed to hold."""
 
 
+def _too_many_digits(text):
+    """Whether Fraction(text) would have a numerator or a denominator of
+    more than MAX_RATIONAL_DIGITS digits, judged from the digits written
+    and the exponent before reduction."""
+    shape = _RATIONAL_SHAPE.match(text)
+    if not shape:
+        return False  # Fraction refuses it at once
+    whole, decimal, exp_sign, exp, den = (g.replace("_", "") if g else "" for g in shape.groups())
+    exp = exp.lstrip("0")
+    if len(exp) > len(str(MAX_RATIONAL_DIGITS)):
+        return True
+    shift = int(exp or 0) * (-1 if exp_sign == "-" else 1)
+    num_digits = len(whole) + len(decimal) + max(shift, 0)
+    den_digits = len(den) if den else len(decimal) + max(-shift, 0) + 1
+    return max(num_digits, den_digits) > MAX_RATIONAL_DIGITS
+
+
 def _rational(text, option):
+    if _too_many_digits(text):
+        raise InvalidArgument("%s: numerator or denominator over %d digits"
+                              % (option, MAX_RATIONAL_DIGITS))
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

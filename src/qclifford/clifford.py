@@ -4,7 +4,10 @@ e0^2 = -1 used by the Cauchy-Kovalevskaya extension.
 
 A blade is a product of distinct generators, encoded as a bitmask (bit i
 set means e_i is present; bit 0 is reserved for e0).  A Multivector is a
-sparse map from blade masks to QScalar coefficients.
+sparse map from blade masks to QScalar coefficients.  The public
+constructor validates its input; the operators build their results
+through `_multivector` without re-validating them, since valid operands
+give valid results.
 """
 
 from __future__ import annotations
@@ -120,7 +123,7 @@ class Multivector:
         out = {}
         for mask, c in self.terms.items():
             out[mask] = -c if _conjugation_sign(mask) < 0 else c
-        return Multivector(self.m, out)
+        return _multivector(self.m, out)
 
     def _compat(self, other):
         if self.m != other.m:
@@ -136,16 +139,22 @@ class Multivector:
         self._compat(other)
         out = dict(self.terms)
         for mask, c in other.terms.items():
-            out[mask] = out.get(mask, ZERO) + c
-        return Multivector(self.m, out)
+            cur = out.get(mask)
+            out[mask] = c if cur is None else cur + c
+        return _multivector(self.m, out)
 
     def __sub__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self + (-other)
+        self._compat(other)
+        out = dict(self.terms)
+        for mask, c in other.terms.items():
+            cur = out.get(mask)
+            out[mask] = -c if cur is None else cur - c
+        return _multivector(self.m, out)
 
     def __neg__(self):
-        return Multivector(self.m, {mask: -c for mask, c in self.terms.items()})
+        return _multivector(self.m, {mask: -c for mask, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -161,7 +170,7 @@ class Multivector:
                         out[mask] = out[mask] + c
                     else:
                         out[mask] = c
-            return Multivector(self.m, out)
+            return _multivector(self.m, out)
         if isinstance(other, (QScalar, int, Fraction)):
             return self._scaled(other)
         return NotImplemented
@@ -175,7 +184,7 @@ class Multivector:
     def _scaled(self, s):
         if not isinstance(s, QScalar):
             s = QScalar(QPoly((s,)))
-        return Multivector(self.m, {mask: c * s for mask, c in self.terms.items()})
+        return _multivector(self.m, {mask: c * s for mask, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):
@@ -188,6 +197,16 @@ class Multivector:
         return render_multivector(self)
 
     __repr__ = __str__
+
+
+def _multivector(m, terms):
+    """The Multivector over Cl(0,m) with an operator's result terms: QScalar
+    coefficients on blades of Cl(0,m).  Drops the zero terms and checks
+    nothing else."""
+    mv = object.__new__(Multivector)
+    mv.m = m
+    mv.terms = {mask: c for mask, c in terms.items() if not c.is_zero()}
+    return mv
 
 
 def geometric_product(a, b):

@@ -4,7 +4,10 @@ extended by x_0.
 A multi-index is a plain tuple of m+1 nonnegative integers whose slot 0 is
 the x_0 exponent (0 unless the extension is in play).  A CliffordPoly is a
 sparse map multi-index -> Multivector; the variables are central, so all
-noncommutativity lives in the coefficients.
+noncommutativity lives in the coefficients.  The public constructor
+validates its input; the operators, `q_shift`, `homogeneous_part` and
+`qops.q_partial` build their results through `_cliffordpoly` without
+re-validating them, since valid operands give valid results.
 """
 
 from __future__ import annotations
@@ -135,7 +138,7 @@ class CliffordPoly:
         for alpha, mv in other.terms.items():
             cur = out.get(alpha)
             out[alpha] = mv if cur is None else cur + mv
-        return CliffordPoly(self.m, out)
+        return _cliffordpoly(self.m, out)
 
     __radd__ = __add__
 
@@ -143,7 +146,12 @@ class CliffordPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        self._compat(other)
+        out = dict(self.terms)
+        for alpha, mv in other.terms.items():
+            cur = out.get(alpha)
+            out[alpha] = -mv if cur is None else cur - mv
+        return _cliffordpoly(self.m, out)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -152,7 +160,7 @@ class CliffordPoly:
         return other - self
 
     def __neg__(self):
-        return CliffordPoly(self.m, {a: -mv for a, mv in self.terms.items()})
+        return _cliffordpoly(self.m, {a: -mv for a, mv in self.terms.items()})
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -166,7 +174,7 @@ class CliffordPoly:
                 mv = ma * mb
                 cur = out.get(alpha)
                 out[alpha] = mv if cur is None else cur + mv
-        return CliffordPoly(self.m, out)
+        return _cliffordpoly(self.m, out)
 
     def __rmul__(self, other):
         # called for scalar * poly and Multivector * poly; scalars are
@@ -215,6 +223,16 @@ class CliffordPoly:
     __repr__ = __str__
 
 
+def _cliffordpoly(m, terms):
+    """The CliffordPoly in m variables with an operator's result terms:
+    Multivectors over Cl(0,m) on multi-indices of length m+1.  Drops the
+    zero terms and checks nothing else."""
+    p = object.__new__(CliffordPoly)
+    p.m = m
+    p.terms = {alpha: mv for alpha, mv in terms.items() if not mv.is_zero()}
+    return p
+
+
 def vector_variable(m):
     """The vector variable: sum of x_i e_i over i = 1..m."""
     acc = CliffordPoly.zero(m)
@@ -234,7 +252,7 @@ def norm_squared(m):
 
 def homogeneous_part(P, k):
     """The degree-k part of P in the multi-index grading."""
-    return CliffordPoly(P.m, {a: mv for a, mv in P.terms.items() if sum(a) == k})
+    return _cliffordpoly(P.m, {a: mv for a, mv in P.terms.items() if sum(a) == k})
 
 
 def q_shift(P, i):
@@ -245,7 +263,7 @@ def q_shift(P, i):
     for alpha, mv in P.terms.items():
         e = alpha[i]
         out[alpha] = mv * Q**e if e else mv
-    return CliffordPoly(P.m, out)
+    return _cliffordpoly(P.m, out)
 
 
 def evaluate_poly(P, point, q0):

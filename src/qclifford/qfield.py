@@ -84,7 +84,11 @@ class QPoly:
         return hash((self.ints, self.d))
 
     def __neg__(self):
-        return _qpoly(pa.neg(self.ints), self.d)
+        # negation keeps the content, so ints/d stays reduced
+        p = object.__new__(QPoly)
+        p.ints = tuple(pa.neg(self.ints))
+        p.d = self.d
+        return p
 
     def __add__(self, other):
         a, b = self.d, other.d
@@ -170,7 +174,8 @@ class QScalar:
 
     The constructor canonicalises an arbitrary pair with a full gcd.  The
     operators rely on their operands being canonical instead: negation
-    runs no gcd; a product cancels gcd(num_a, den_b) and gcd(num_b, den_a)
+    runs no gcd; a product with 1 is the other operand, and any other
+    product cancels gcd(num_a, den_b) and gcd(num_b, den_a)
     and rescales the denominator to monic; a sum over coprime denominators
     is already reduced, and otherwise only gcd(t, gcd(den_a, den_b)) can
     cancel from its numerator t; a quotient is a product by the inverse.
@@ -272,6 +277,10 @@ class QScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.is_one():
+            return other
+        if other.is_one():
+            return self
         na, da, nb, db = self.num, self.den, other.num, other.den
         if not na or not nb:
             return ZERO

@@ -13,7 +13,7 @@ certifies the identity on that input.
 
 from __future__ import annotations
 
-from .cpoly import CliffordPoly, norm_squared, q_shift, vector_variable
+from .cpoly import CliffordPoly, _cliffordpoly, norm_squared, q_shift, vector_variable
 from .errors import InvalidArgument, InvalidVariable, UsesExtendedAlgebra
 from .qfield import Q, q_bracket
 
@@ -31,7 +31,7 @@ def q_partial(P, i):
         mv = mv * q_bracket(a)
         cur = out.get(beta)
         out[beta] = mv if cur is None else cur + mv
-    return CliffordPoly(P.m, out)
+    return _cliffordpoly(P.m, out)
 
 
 def _require_plain(P):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qclifford import qops
-from qclifford.cli import MAX_CK_WORK, MAX_FISCHER_WORK, MAX_ORDER, main
+from qclifford.cli import MAX_CK_WORK, MAX_FISCHER_WORK, MAX_ORDER, MAX_RATIONAL_DIGITS, main
 from qclifford.cpoly import CliffordPoly
 from qclifford.parser import parse_poly
 
@@ -353,6 +353,38 @@ class TestBadNumbers:
         assert code == 2
         assert err.startswith("error: %s: not a rational number" % option)
         assert "Traceback" not in err
+
+    # Fraction would expand each exponent before any check on the value
+    @pytest.mark.parametrize("argv,option", [
+        (("eval", "--m", "1", "--q0=1/2", "--point=1e99999999", "--json", "--", "x1"), "--point"),
+        (("eval", "--m", "1", "--q0=1e999999", "--point=1", "--json", "--", "(1+q)^64*x1"),
+         "--q0"),
+        (("jackson", "integrate", "--a=0", "--b=1e999999", "--json", "--", "t^64"), "--b"),
+        (("eval", "--m", "1", "--point=1e99999", "--", "x1^64"), "--point"),
+        (("eval", "--m", "1", "--point=0e99999999", "--", "x1"), "--point"),
+        (("eval", "--m", "1", "--point=1e4300", "--", "x1"), "--point"),
+        (("eval", "--m", "1", "--point=1e-4300", "--", "x1"), "--point"),
+        (("jackson", "integrate", "--a=1/" + "7" * 4301, "--", "t"), "--a"),
+    ])
+    def test_oversized_rational_exits_2_at_once(self, capsys, argv, option):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: %s: numerator or denominator over %d digits"
+                              % (option, MAX_RATIONAL_DIGITS))
+        assert "Traceback" not in err
+        assert time.perf_counter() - start < 2
+
+    @pytest.mark.parametrize("value,want", [
+        ("1e4299", "1" + "0" * 4299),
+        ("0.5e-4298", "1/2" + "0" * 4298),
+        ("1_0.2_5e0_1", "205/2"),
+    ])
+    def test_rational_within_digit_limit_is_accepted(self, capsys, value, want):
+        code, out, _ = run(capsys, "eval", "--m", "1", "--point=" + value, "--", "x1")
+        assert code == 0
+        assert out.strip() == want
 
     @pytest.mark.parametrize("option,value", [
         ("--m", "0"), ("--m", "-1"), ("--m", "9"),

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qclifford.clifford import Multivector, blade_product, conjugate, scalar_part
-from qclifford.errors import AlgebraMismatch
+from qclifford.errors import AlgebraMismatch, InvalidArgument, InvalidVariable
 from qclifford.qfield import ONE, Q, ZERO, QScalar
 
 
@@ -106,6 +106,14 @@ class TestErrors:
             e(1, 2) * e(1, 3)
         with pytest.raises(AlgebraMismatch):
             e(1, 2) + e(1, 3)
+        with pytest.raises(AlgebraMismatch):
+            e(1, 2) - e(1, 3)
+
+    def test_constructor_checks(self):
+        with pytest.raises(InvalidVariable):
+            Multivector(2, {1 << 4: ONE})
+        with pytest.raises(InvalidArgument):
+            Multivector(0)
 
 
 small_scalars = st.one_of(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qclifford.clifford import Multivector
+from qclifford.clifford import Multivector, conjugate
 from qclifford.cpoly import (
     CliffordPoly,
     evaluate_poly,
@@ -17,7 +17,8 @@ from qclifford.cpoly import (
     vector_variable,
 )
 from qclifford.errors import AlgebraMismatch, InvalidArgument, InvalidVariable
-from qclifford.qfield import Q, QScalar, q_bracket
+from qclifford.qfield import ONE, Q, QScalar, q_bracket
+from qclifford.qops import q_partial
 from qclifford.randpoly import random_poly
 
 
@@ -184,6 +185,73 @@ class TestRingAxioms:
         a, b = pair
         assert a + b == b + a
         assert a - b + b == a
+
+
+def assert_canonical(value):
+    """value equals its rebuild through the validating constructors, term
+    for term, and holds no zero term at any level."""
+    if isinstance(value, QScalar):
+        rebuilt = QScalar(value.num, value.den)
+        assert (rebuilt.num, rebuilt.den) == (value.num, value.den)
+        return
+    if isinstance(value, Multivector):
+        rebuilt = Multivector(value.m, value.terms)
+    else:
+        rebuilt = CliffordPoly(value.m, value.terms)
+    assert rebuilt == value
+    assert rebuilt.terms == value.terms
+    for coeff in value.terms.values():
+        assert not coeff.is_zero()
+        assert_canonical(coeff)
+
+
+class TestCanonicalResults:
+    """The operators build their results without the constructors' checks,
+    so every result must be what those checks would have built."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=3).flatmap(
+        lambda m: st.tuples(polys(m), polys(m))))
+    def test_results_are_canonical(self, pair):
+        a, b = pair
+        m = a.m
+        results = [a + b, a - b, -a, a * b, b * a, a - a, a + (-a), (a + b) - b,
+                   a * b - b * a, Q * a, a * (1 / (1 + Q)), a * 0]
+        results += [q_partial(a, i) for i in range(m + 1)]
+        results += [q_shift(a, i) for i in range(m + 1)]
+        results += [homogeneous_part(a, k) for k in range(7)]
+        coeffs = [mv for P in (a, b, a * b) for mv in P.terms.values()]
+        for u in coeffs:
+            for v in coeffs:
+                results += [u + v, u - v, u * v]
+            results += [-u, conjugate(u), u * Q, (1 + Q) * u, u * (1 / (1 + Q)), u * 0,
+                        u - u, u + (-u)]
+        for r in results:
+            assert_canonical(r)
+        assert a - b == a + (-b)
+        assert (a + b) - b == a
+        assert (a - a).is_zero() and (a + (-a)).is_zero()
+        one = CliffordPoly.one(m)
+        assert one * a == a == a * one
+        for mv in coeffs:
+            for c in list(mv.terms.values()) + [c / (1 + Q) for c in mv.terms.values()]:
+                assert ONE * c == c
+                assert c * ONE == c
+
+
+class TestConstructorChecks:
+    def test_dimension(self):
+        with pytest.raises(InvalidArgument):
+            CliffordPoly(0)
+
+    @pytest.mark.parametrize("alpha", [(0, 1), (0, -1, 0)])
+    def test_multi_index(self, alpha):
+        with pytest.raises(InvalidArgument):
+            CliffordPoly(2, {alpha: Multivector.scalar(ONE, 2)})
+
+    def test_coefficient_algebra(self):
+        with pytest.raises(AlgebraMismatch):
+            CliffordPoly(2, {(0, 1, 0): Multivector.basis(3, 3)})
 
 
 class TestRendering:
