@@ -19,7 +19,7 @@ import re
 import sys
 import zlib
 from fractions import Fraction
-from math import comb, prod
+from math import comb, log10, prod
 
 from . import ck as ck_mod
 from . import fischer as fischer_mod
@@ -51,7 +51,15 @@ MAX_CK_WORK = 10_000_000
 
 #: most digits the numerator or the denominator of a rational option may
 #: have: CPython's int-string limit, which rendering enforces as well.  It
-#: is judged from the text, since `Fraction` would expand any exponent first
+#: is judged from the text, since `Fraction` would expand any exponent first.
+#: It also bounds the digits that `eval` and `jackson integrate` raise those
+#: options to, estimated as degree times digits before computing, where
+#: digits(r) = log10 max(|num r|, den r).  For `jackson integrate` that is
+#: (k + 1) * digits(a or b).  For `eval` it is x-degree * digits(point) plus
+#: q-degree * digits(q0), the q-degree being the largest of the numerators
+#: plus the sum over the distinct denominators, whose values multiply when
+#: the terms are added.  Unbounded, `eval --q0=1e4299 -- "q^1000*x1"` ran
+#: over 40 s
 MAX_RATIONAL_DIGITS = 4300
 
 # the shape of a `Fraction` string: integer part, decimal part and exponent,
@@ -91,6 +99,17 @@ def _rational(text, option):
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InvalidArgument("%s: not a rational number: %r" % (option, text)) from None
+
+
+def _digits(x):
+    """The decimal digits each power of the rational x adds."""
+    return log10(max(abs(x.numerator), x.denominator))
+
+
+def _check_power_digits(digits, options):
+    if digits > MAX_RATIONAL_DIGITS:
+        raise InvalidArgument("%s: degree times digits is %d, over the limit of %d"
+                              % (options, digits, MAX_RATIONAL_DIGITS))
 
 
 def _int_in(lo, hi):
@@ -153,6 +172,12 @@ def _cmd_eval(args):
         point = [0] * P.m
     else:
         raise QCliffordError("expression is not constant; pass --point")
+    coeffs = [c for mv in P.terms.values() for c in mv.terms.values()]
+    q_degree = (max((c.num.degree for c in coeffs), default=0)
+                + sum(den.degree for den in {c.den for c in coeffs}))
+    _check_power_digits(q_degree * _digits(q0)
+                        + max(P.total_degree(), 0) * max(map(_digits, point)),
+                        "--q0 and --point")
     value = evaluate_poly(P, point, q0)
     _emit(args, "eval", inputs, str(value))
     return 0
@@ -290,7 +315,9 @@ def _cmd_jackson(args):
         _emit(args, "jackson deriv", {"expr": args.expr}, str(result))
     elif args.jackson_verb == "integrate":
         f = parse_unipoly(args.expr)
-        result = jackson_mod.q_integral(f, _rational(args.a, "--a"), _rational(args.b, "--b"))
+        a, b = _rational(args.a, "--a"), _rational(args.b, "--b")
+        _check_power_digits((f.total_degree() + 1) * max(_digits(a), _digits(b)), "--a and --b")
+        result = jackson_mod.q_integral(f, a, b)
         _emit(args, "jackson integrate",
               {"expr": args.expr, "a": args.a, "b": args.b}, str(result))
     else:

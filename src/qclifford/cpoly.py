@@ -59,39 +59,41 @@ class CliffordPoly:
         self.terms = clean
 
     # -- constructors ----------------------------------------------------
+    # static, so that a subclass with its own __init__ (jackson.UniPoly)
+    # inherits them as builders of a plain CliffordPoly
 
-    @classmethod
-    def zero(cls, m):
-        return cls(m)
+    @staticmethod
+    def zero(m):
+        return CliffordPoly(m)
 
-    @classmethod
-    def scalar(cls, value, m):
-        return cls(m, {_zero_alpha(m): Multivector.scalar(value, m)})
+    @staticmethod
+    def scalar(value, m):
+        return CliffordPoly(m, {_zero_alpha(m): Multivector.scalar(value, m)})
 
-    @classmethod
-    def one(cls, m):
-        return cls.scalar(ONE, m)
+    @staticmethod
+    def one(m):
+        return CliffordPoly.scalar(ONE, m)
 
-    @classmethod
-    def variable(cls, i, m):
+    @staticmethod
+    def variable(i, m):
         """The coordinate x_i (x_0 for i = 0)."""
         if i < 0 or i > m:
             raise InvalidVariable("variable index %d out of range" % i)
         alpha = tuple(1 if j == i else 0 for j in range(m + 1))
-        return cls(m, {alpha: Multivector.scalar(ONE, m)})
+        return CliffordPoly(m, {alpha: Multivector.scalar(ONE, m)})
 
-    @classmethod
-    def generator(cls, i, m):
+    @staticmethod
+    def generator(i, m):
         """The constant polynomial e_i."""
-        return cls.from_multivector(Multivector.basis(i, m))
+        return CliffordPoly.from_multivector(Multivector.basis(i, m))
 
-    @classmethod
-    def from_multivector(cls, mv):
-        return cls(mv.m, {_zero_alpha(mv.m): mv})
+    @staticmethod
+    def from_multivector(mv):
+        return CliffordPoly(mv.m, {_zero_alpha(mv.m): mv})
 
-    @classmethod
-    def monomial(cls, m, alpha, coeff):
-        return cls(m, {tuple(alpha): coeff})
+    @staticmethod
+    def monomial(m, alpha, coeff):
+        return CliffordPoly(m, {tuple(alpha): coeff})
 
     # -- structure -------------------------------------------------------
 

@@ -1,5 +1,11 @@
 """One-dimensional Jackson calculus: q-derivative, q-integral and the two
-q-exponentials, on univariate polynomials over Q(q).
+q-exponentials, on polynomials in one variable t over Q(q).
+
+The one-dimensional case is m = 1 of the Clifford setting: a polynomial
+in t is a scalar-valued `CliffordPoly` at m = 1 whose variable x1 is t.
+`UniPoly` is that polynomial, built from its coefficients by degree and
+printed in t.  The q-derivative is `q_partial` in x1, the dilation
+t -> q t is `q_shift(f, 1)` and evaluation is `evaluate_poly`.
 
 The q-integral is exposed in closed form (term-wise geometric summation of
 the defining series, a rational-function identity valid for formal q); the
@@ -11,123 +17,26 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .cpoly import CliffordPoly, evaluate_poly
 from .errors import InvalidArgument, InvalidParameter
-from .qfield import ONE, Q, ZERO, QPoly, QScalar, q_bracket, q_factorial
+from .qfield import ONE, ZERO, QPoly, QScalar, q_bracket, q_factorial
+from .qops import q_partial
 
 
-class UniPoly:
-    """Sparse polynomial in t with QScalar coefficients.
+class UniPoly(CliffordPoly):
+    """Polynomial in t with QScalar coefficients, given as a map degree ->
+    coefficient: the CliffordPoly at m = 1 with terms {(0, k): c}, printed
+    in t.  Arithmetic on it returns a plain CliffordPoly, printed in x1.
 
-    >>> str(UniPoly({2: ONE, 0: ONE}))
-    '1 + t^2'
+    >>> f = UniPoly({2: ONE, 0: ONE})
+    >>> str(f), f == CliffordPoly(1, {(0, 2): ONE, (0, 0): ONE})
+    ('1 + t^2', True)
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs=None):
-        clean = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                if not isinstance(c, QScalar):
-                    c = QScalar(QPoly((c,)))
-                if k < 0:
-                    raise InvalidArgument("negative degree %d" % k)
-                if not c.is_zero():
-                    clean[k] = c
-        self.coeffs = clean
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({0: ONE})
-
-    @classmethod
-    def t(cls):
-        return cls({1: ONE})
-
-    @classmethod
-    def monomial(cls, k, c=ONE):
-        return cls({k: c})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def degree(self):
-        return max(self.coeffs, default=-1)
-
-    def coefficient(self, k):
-        return self.coeffs.get(k, ZERO)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, ZERO) + c
-        return UniPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly({k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = {}
-        for ka, ca in self.coeffs.items():
-            for kb, cb in other.coeffs.items():
-                k = ka + kb
-                prod = ca * cb
-                out[k] = out.get(k, ZERO) + prod
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, UniPoly):
-            return other
-        if isinstance(other, (QScalar, int, Fraction)):
-            return UniPoly({0: other})
-        return None
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def dilate(self, power=1):
-        """Substitute t -> q^power t (power may be negative)."""
-        return UniPoly({k: c * Q ** (power * k) for k, c in self.coeffs.items()})
-
-    def subst_neg(self):
-        """Substitute t -> -t."""
-        return UniPoly({k: -c if k & 1 else c for k, c in self.coeffs.items()})
-
-    def evaluate(self, t0, q0):
-        t0 = Fraction(t0)
-        acc = Fraction(0)
-        for k, c in self.coeffs.items():
-            acc += c.evaluate(q0) * t0**k
-        return acc
+        super().__init__(1, {(0, k): c for k, c in (coeffs or {}).items()})
 
     def __str__(self):
         from .render import render_unipoly
@@ -137,9 +46,18 @@ class UniPoly:
     __repr__ = __str__
 
 
+def _unipoly(P):
+    """The scalar-valued CliffordPoly P at m = 1 as a UniPoly, sharing its
+    terms.  Checks nothing."""
+    f = object.__new__(UniPoly)
+    f.m = 1
+    f.terms = P.terms
+    return f
+
+
 def jackson_derivative(f):
     """t^k -> [k]_q t^(k-1), extended linearly."""
-    return UniPoly({k - 1: c * q_bracket(k) for k, c in f.coeffs.items() if k})
+    return _unipoly(q_partial(f, 1))
 
 
 def q_integral(f, a, b):
@@ -148,10 +66,10 @@ def q_integral(f, a, b):
     a = Fraction(a)
     b = Fraction(b)
     acc = ZERO
-    for k, c in f.coeffs.items():
+    for (_, k), mv in f.terms.items():
         weight = b ** (k + 1) - a ** (k + 1)
         if weight:
-            acc = acc + c * QScalar(QPoly((weight,))) / q_bracket(k + 1)
+            acc = acc + mv.scalar_part() * QScalar(QPoly((weight,))) / q_bracket(k + 1)
     return acc
 
 
@@ -165,7 +83,7 @@ def q_integral_series_oracle(f, a, q0, terms):
     acc = Fraction(0)
     qk = Fraction(1)
     for _ in range(terms):
-        acc += f.evaluate(a * qk, q0) * qk
+        acc += evaluate_poly(f, [a * qk], q0).scalar_part().evaluate(q0) * qk
         qk *= q0
     return (1 - q0) * a * acc
 

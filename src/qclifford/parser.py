@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .cpoly import CliffordPoly
 from .errors import DivisionByZero, InvalidArgument, InvalidVariable, ParseError
-from .jackson import UniPoly
+from .jackson import _unipoly
 from .qfield import QPoly, QScalar
 
 
@@ -303,11 +303,6 @@ def parse_poly(text, m):
 
 
 def parse_unipoly(text):
-    """Parse a one-dimensional expression in t into a UniPoly."""
-    P = lower(_Parser(text, 1, one_dim=True).parse(), 1)
-    out = {}
-    for alpha, mv in P.terms.items():
-        if not mv.is_scalar():
-            raise InvalidArgument("generators are not allowed in 1D expressions")
-        out[alpha[1]] = mv.scalar_part()
-    return UniPoly(out)
+    """Parse a one-dimensional expression in t into a UniPoly.  Its only
+    symbols are t and q, so the lowered polynomial is scalar-valued."""
+    return _unipoly(lower(_Parser(text, 1, one_dim=True).parse(), 1))

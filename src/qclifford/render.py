@@ -65,13 +65,14 @@ def render_multivector(mv):
     return _join(out)
 
 
-def render_poly(P):
+def _render_terms(P, names):
+    """The terms of P in the graded order, variable i printed as names[i]."""
     from .cpoly import term_sort_key
 
     out = []
     for alpha in sorted(P.terms, key=term_sort_key):
         var_factors = [
-            _power_str("x%d" % i, e) for i, e in enumerate(alpha) if e
+            _power_str(names[i], e) for i, e in enumerate(alpha) if e
         ]
         mv = P.terms[alpha]
         for mask in sorted(mv.terms):
@@ -80,10 +81,10 @@ def render_poly(P):
     return _join(out)
 
 
+def render_poly(P):
+    return _render_terms(P, ["x%d" % i for i in range(P.m + 1)])
+
+
 def render_unipoly(f):
-    out = []
-    for k in sorted(f.coeffs):
-        neg, coeff = _coefficient_sign_split(f.coeffs[k])
-        var_factors = [_power_str("t", k)] if k else []
-        out.append((neg, _term_body(coeff, var_factors, 0)))
-    return _join(out)
+    """A polynomial in t: the m = 1 polynomial with x1 printed as t."""
+    return _render_terms(f, ("x0", "t"))

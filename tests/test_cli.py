@@ -376,6 +376,34 @@ class TestBadNumbers:
         assert "Traceback" not in err
         assert time.perf_counter() - start < 2
 
+    # each option is within its digit limit, but the degree raises it past
+    # that; the last sums 60 values over distinct denominators
+    @pytest.mark.parametrize("argv,options", [
+        (("eval", "--m", "1", "--q0=1e4299", "--point=1", "--", "q^1000*x1"), "--q0 and --point"),
+        (("eval", "--q0=1", "--point=1e4299", "--", "x1^1000"), "--q0 and --point"),
+        (("jackson", "integrate", "--a=0", "--b=1e4299", "--", "t^1000"), "--a and --b"),
+        (("eval", "--m", "1", "--q0=" + "7" * 100, "--point=1", "--",
+          " + ".join("x1^%d/(%d+q^30)" % (i, i) for i in range(1, 61))), "--q0 and --point"),
+    ], ids=["eval-q0", "eval-point", "integrate", "eval-denominators"])
+    def test_oversized_power_exits_2_at_once(self, capsys, argv, options):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: %s: degree times digits is" % options)
+        assert err.rstrip().endswith("over the limit of %d" % MAX_RATIONAL_DIGITS)
+        assert time.perf_counter() - start < 2
+
+    @pytest.mark.parametrize("argv,want", [
+        (("eval", "--m", "1", "--q0=9999", "--point=1", "--", "(1+q)^1000*x1"), "1" + "0" * 4000),
+        (("eval", "--m", "1", "--q0=1", "--point=10", "--", "x1^1000"), "1" + "0" * 1000),
+        (("jackson", "integrate", "--a=0", "--b=10", "--", "t^999"), "1" + "0" * 1000 + "/(1 + q"),
+    ], ids=["eval-q0", "eval-point", "integrate"])
+    def test_power_within_digit_limit_is_accepted(self, capsys, argv, want):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith(want)
+
     @pytest.mark.parametrize("value,want", [
         ("1e4299", "1" + "0" * 4299),
         ("0.5e-4298", "1/2" + "0" * 4298),
