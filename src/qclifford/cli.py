@@ -406,10 +406,7 @@ def main(argv=None):
         return 0 if not exc.code else 2
     try:
         return args.func(args)
-    except SingularSystem as exc:
-        print("internal error: %s" % exc, file=sys.stderr)
-        return 3
-    except InternalInvariantViolation as exc:
+    except (SingularSystem, InternalInvariantViolation) as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return 3
     except (QCliffordError, ValueError) as exc:

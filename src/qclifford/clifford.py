@@ -187,6 +187,8 @@ class Multivector:
         return _multivector(self.m, {mask: c * s for mask, c in self.terms.items()})
 
     def __eq__(self, other):
+        if isinstance(other, (QScalar, int, Fraction)):
+            other = Multivector.scalar(other, self.m)
         if not isinstance(other, Multivector):
             return NotImplemented
         return self.m == other.m and self.terms == other.terms

@@ -4,13 +4,15 @@ The split P = M + x Q (M monogenic, Q of degree k-1) is computed by
 solving the square linear system q_dirac(x Q) = q_dirac(P) over Q(q) in
 the monomial-blade basis of the degree-(k-1) space.  x and q_dirac keep
 the class of x^alpha e_A in Z_2^m, whose bit l is alpha_l + [l in A] mod 2.
-A class holds one blade per multi-index, so the matrix has 2^m blocks of
-size C(k+m-2, m-1).  Right multiplication by e_B commutes with x and
-q_dirac and maps class g onto g xor B, so every block is a signed copy of
-the class-0 block.  Only that block is inverted, once per (m, k), by
-fraction-free Gauss-Jordan elimination; the other inverses are its signed
-copies, and all are cached.  Individual splits are then sparse
-matrix-vector products.
+A class holds one blade per multi-index: the class-0 element of alpha
+is x^alpha e_p(alpha), p(alpha) the blade of the odd exponents.  Right
+multiplication by e_B commutes with x and q_dirac and maps class g onto
+g xor B, so every class block is a signed copy of the class-0 block of
+size C(k+m-2, m-1).  That block is the only one built: it is inverted
+once per (m, k) by fraction-free Gauss-Jordan elimination and cached, and
+each split solves every class of its right-hand side with that one
+inverse.  `monogenic_dimension` ranks the class-0 block of q_dirac once
+and counts it 2^m times.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from functools import lru_cache
 from math import comb
 
 from ._linalg import invert_ff, rank_ff
-from .clifford import Multivector, blade_product
-from .cpoly import CliffordPoly, vector_variable
+from .clifford import Multivector, _multivector, blade_product
+from .cpoly import CliffordPoly, _cliffordpoly, vector_variable
 from .errors import NotHomogeneous, SingularSystem
 from .qfield import ONE, ZERO, QPoly, QScalar, q_factorial
 from .qops import q_dirac, q_partial
@@ -163,82 +165,70 @@ def _int_poly(c):
     return list(c.num.ints)
 
 
-def _grading_class(alpha, mask):
-    """The Z_2^m class of x^alpha e_A: bit l is alpha_l + [l in A] mod 2."""
-    return mask ^ sum(1 << i for i, a in enumerate(alpha) if a & 1)
+def _odd_blade(alpha):
+    """p(alpha): the blade mask of the odd exponents of x^alpha, so that
+    x^alpha e_p(alpha) is the class-0 basis element of alpha."""
+    return sum(1 << i for i, a in enumerate(alpha) if a & 1)
 
 
-def _graded_blocks(op, m, src, dst):
-    """The matrix over Z[q] of the linear map op from span(src) to span(dst)
-    as one (src_ids, block) per grading class: block[i][j] is the coordinate
-    of op(src[src_ids[j]]) at the i-th dst element of the class."""
-    classes = {}
-    for side, basis in ((0, dst), (1, src)):
-        for i, be in enumerate(basis):
-            classes.setdefault(_grading_class(*be), ([], []))[side].append(i)
-    row_of = {dst[i]: r for rows, _ in classes.values() for r, i in enumerate(rows)}
-    out = []
-    for g, (rows, cols) in sorted(classes.items()):
-        block = [[[] for _ in cols] for _ in rows]
-        for j, s in enumerate(cols):
-            alpha, mask = src[s]
-            image = op(CliffordPoly.monomial(m, alpha, Multivector.blade(mask, m)))
-            for beta, mv in image.terms.items():
-                for bmask, c in mv.terms.items():
-                    if _grading_class(beta, bmask) != g:
-                        raise SingularSystem("operator does not preserve the grading")
-                    block[row_of[(beta, bmask)]][j] = _int_poly(c)
-        out.append((cols, block))
-    return out
+def _class0_block(op, m, src, dst):
+    """The class-0 block over Z[q] of the linear map op from the degree of
+    the multi-indices src to that of dst: block[i][j] is the coefficient of
+    op(x^src_j e_p(src_j)) at x^dst_i e_p(dst_i)."""
+    row_of = {alpha: i for i, alpha in enumerate(dst)}
+    block = [[[] for _ in src] for _ in dst]
+    for j, alpha in enumerate(src):
+        image = op(CliffordPoly.monomial(m, alpha, Multivector.blade(_odd_blade(alpha), m)))
+        for beta, mv in image.terms.items():
+            for mask, c in mv.terms.items():
+                if mask != _odd_blade(beta):
+                    raise SingularSystem("operator does not preserve the grading")
+                block[row_of[beta]][j] = _int_poly(c)
+    return block
 
 
 class _StepSolver:
     """Cached inverse of Q -> q_dirac(x Q) on the degree-(k-1) space.
 
     Only the class-0 block is assembled and inverted.  Right multiplication
-    by e_B commutes with x and q_dirac and sends x^alpha e_A to
-    s x^alpha e_(A xor B), s = +-1, so it maps class 0 onto class B and the
-    class-B block is S block_0 S with S = diag(s).  Its inverse is the
-    signed copy S inv_0 S over the same determinant.
+    by e_B commutes with x and q_dirac and sends x^alpha e_p(alpha) to
+    s x^alpha e_(p(alpha) xor B), s = +-1, so it maps class 0 onto class B
+    and the class-B block is S block_0 S with S = diag(s).  `solve` signs
+    each class of its right-hand side into class-0 coordinates, applies
+    the one inverse and signs the result back.
     """
 
     def __init__(self, m, k):
         self.m = m
         self.k = k
-        self.basis = space_basis(m, k - 1)
-        self.index = {be: i for i, be in enumerate(self.basis)}
+        self.alphas = monomial_multi_indices(m, k - 1)
         xv = vector_variable(m)
-        base = [(alpha, _grading_class(alpha, 0))
-                for alpha in monomial_multi_indices(m, k - 1)]
-        [(_, block)] = _graded_blocks(lambda Q: q_dirac(xv * Q), m, base, base)
-        inv, det = invert_ff(block)
-        inv0 = [[QScalar(QPoly(entry)) if entry else ZERO for entry in row] for row in inv]
-        det = QScalar(QPoly(det))
-        self.blocks = []
-        for b in range(1 << m):
-            B = b << 1
-            ids = [self.index[(alpha, mask ^ B)] for alpha, mask in base]
-            signs = [blade_product(mask, B)[0] for _, mask in base]
-            inv_B = [[c if si * sj > 0 else -c for sj, c in zip(signs, row)]
-                     for si, row in zip(signs, inv0)]
-            self.blocks.append((ids, inv_B, det))
+        inv, det = invert_ff(
+            _class0_block(lambda Q: q_dirac(xv * Q), m, self.alphas, self.alphas))
+        self.inv = [[QScalar(QPoly(entry)) if entry else ZERO for entry in row] for row in inv]
+        self.det = QScalar(QPoly(det))
 
-    def solve(self, rhs):
-        out = [ZERO] * len(self.basis)
-        for ids, inv, det in self.blocks:
-            nz = [(loc, rhs[g]) for loc, g in enumerate(ids) if not rhs[g].is_zero()]
-            if not nz:
-                continue
-            for loc_i, g_i in enumerate(ids):
+    def solve(self, R):
+        """The Q of degree k - 1 with q_dirac(x Q) = R."""
+        col = {alpha: j for j, alpha in enumerate(self.alphas)}
+        classes = {}
+        for beta, mv in R.terms.items():
+            p = _odd_blade(beta)
+            for mask, c in mv.terms.items():
+                B = mask ^ p
+                classes.setdefault(B, {})[col[beta]] = c if blade_product(p, B)[0] > 0 else -c
+        terms = {}
+        for B, rhs in classes.items():
+            for alpha, row in zip(self.alphas, self.inv):
                 acc = ZERO
-                row = inv[loc_i]
-                for loc_j, v in nz:
-                    b = row[loc_j]
-                    if not b.is_zero():
-                        acc = acc + b * v
+                for j, v in rhs.items():
+                    if not row[j].is_zero():
+                        acc = acc + row[j] * v
                 if not acc.is_zero():
-                    out[g_i] = acc / det
-        return out
+                    sign, mask = blade_product(_odd_blade(alpha), B)
+                    c = acc / self.det
+                    terms.setdefault(alpha, {})[mask] = c if sign > 0 else -c
+        return _cliffordpoly(self.m, {a: _multivector(self.m, t) for a, t in terms.items()})
 
 
 @lru_cache(maxsize=None)
@@ -246,32 +236,13 @@ def _step_solver(m, k):
     return _StepSolver(m, k)
 
 
-def _coords(P, index, n):
-    out = [ZERO] * n
-    for alpha, mv in P.terms.items():
-        for mask, c in mv.terms.items():
-            out[index[(alpha, mask)]] = c
-    return out
-
-
 def fischer_step(P):
     """Unique split P = M + x Q with M monogenic, for homogeneous P."""
     k = _degree_of(P)
     if k is None or k == 0:
         return FischerSplit(P, CliffordPoly.zero(P.m))
-    solver = _step_solver(P.m, k)
-    rhs = _coords(q_dirac(P), solver.index, len(solver.basis))
-    sol = solver.solve(rhs)
-    terms = {}
-    for (alpha, mask), c in zip(solver.basis, sol):
-        if c.is_zero():
-            continue
-        cur = terms.get(alpha)
-        mv = Multivector(P.m, {mask: c})
-        terms[alpha] = mv if cur is None else cur + mv
-    Qp = CliffordPoly(P.m, terms)
-    M = P - vector_variable(P.m) * Qp
-    return FischerSplit(M, Qp)
+    Qp = _step_solver(P.m, k).solve(q_dirac(P))
+    return FischerSplit(P - vector_variable(P.m) * Qp, Qp)
 
 
 def fischer_full(P):
@@ -292,8 +263,9 @@ def fischer_full(P):
 @lru_cache(maxsize=None)
 def monogenic_dimension(m, k):
     """Dimension of the kernel of the q-Dirac operator on the degree-k
-    space, computed as the nullity of its matrix over Q(q)."""
+    space: 2^m times the nullity of its class-0 block over Q(q)."""
     if k == 0:
         return 1 << m
-    blocks = _graded_blocks(q_dirac, m, space_basis(m, k), space_basis(m, k - 1))
-    return space_dimension(m, k) - sum(rank_ff(block) for _, block in blocks)
+    block = _class0_block(q_dirac, m, monomial_multi_indices(m, k),
+                          monomial_multi_indices(m, k - 1))
+    return (comb(k + m - 1, m - 1) - rank_ff(block)) << m

@@ -2,13 +2,16 @@
 
 These reimplement the classical (non-deformed) operators and the literal
 difference quotient from first principles, without touching the q-bracket
-machinery, and the Z[q] gcd by the primitive polynomial remainder
-sequence instead of the library's heuristic gcd, so agreement with the
-package is a genuine cross-check.
+machinery, the Z[q] gcd by the primitive polynomial remainder sequence
+instead of the library's heuristic gcd, and the Fischer operator matrix
+as all of its 2^m grading-class blocks instead of the library's one
+class-0 block, so agreement with the package is a genuine cross-check.
 """
 
 from qclifford import _polyarith as pa
+from qclifford.clifford import Multivector
 from qclifford.cpoly import CliffordPoly, q_shift
+from qclifford.errors import SingularSystem
 from qclifford.qfield import ONE, Q, QScalar
 
 
@@ -100,3 +103,41 @@ def prs_gcd(a, b):
     while b:
         a, b = b, pa.primitive(pseudo_rem(a, b))
     return a
+
+
+def _int_poly(c):
+    """QScalar with denominator 1 and integer coefficients -> int list."""
+    if not c.den.is_one():
+        raise SingularSystem("system entry is not polynomial")
+    if c.num.d != 1:
+        raise SingularSystem("system entry has non-integer coefficients")
+    return list(c.num.ints)
+
+
+def _grading_class(alpha, mask):
+    """The Z_2^m class of x^alpha e_A: bit l is alpha_l + [l in A] mod 2."""
+    return mask ^ sum(1 << i for i, a in enumerate(alpha) if a & 1)
+
+
+def graded_blocks(op, m, src, dst):
+    """The matrix over Z[q] of the linear map op from span(src) to span(dst)
+    as one (src_ids, block) per grading class: block[i][j] is the coordinate
+    of op(src[src_ids[j]]) at the i-th dst element of the class."""
+    classes = {}
+    for side, basis in ((0, dst), (1, src)):
+        for i, be in enumerate(basis):
+            classes.setdefault(_grading_class(*be), ([], []))[side].append(i)
+    row_of = {dst[i]: r for rows, _ in classes.values() for r, i in enumerate(rows)}
+    out = []
+    for g, (rows, cols) in sorted(classes.items()):
+        block = [[[] for _ in cols] for _ in rows]
+        for j, s in enumerate(cols):
+            alpha, mask = src[s]
+            image = op(CliffordPoly.monomial(m, alpha, Multivector.blade(mask, m)))
+            for beta, mv in image.terms.items():
+                for bmask, c in mv.terms.items():
+                    if _grading_class(beta, bmask) != g:
+                        raise SingularSystem("operator does not preserve the grading")
+                    block[row_of[(beta, bmask)]][j] = _int_poly(c)
+        out.append((cols, block))
+    return out

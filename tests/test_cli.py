@@ -91,7 +91,7 @@ class TestFischer:
 
         solve = _StepSolver.solve
         monkeypatch.setattr(_StepSolver, "solve",
-                            lambda self, rhs: [c + c for c in solve(self, rhs)])
+                            lambda self, R: solve(self, R) * 2)
         code, out, err = run(capsys, "fischer", "--m", "2", "--json", "--", "x1^2*x2*e1")
         assert code == 3
         assert "Traceback" not in err

@@ -1,10 +1,13 @@
 """Cl(0,m) blades, geometric product, conjugation, scalar part."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qclifford.clifford import Multivector, blade_product, conjugate, scalar_part
+from qclifford.cpoly import CliffordPoly
 from qclifford.errors import AlgebraMismatch, InvalidArgument, InvalidVariable
 from qclifford.qfield import ONE, Q, ZERO, QScalar
 
@@ -98,6 +101,21 @@ class TestScalarPart:
     def test_conjugate_square_example(self):
         a = Multivector(2, {0b10: QScalar(2), 0b110: ONE})  # 2e1 + e1e2
         assert scalar_part(conjugate(a) * a) == QScalar(5)
+
+
+class TestEquality:
+    def test_scalars_compare_like_cliffordpoly(self):
+        # Multivector, CliffordPoly and the scalars agree on equality
+        assert Multivector.scalar(1, 2) == 1
+        assert 1 == Multivector.scalar(1, 2)
+        assert Multivector.zero(2) == 0
+        assert Multivector.scalar(Fraction(1, 2), 2) == Fraction(1, 2)
+        assert Multivector.scalar(Q, 3) == Q
+        assert CliffordPoly.one(2) == Multivector.scalar(1, 2) == CliffordPoly.one(2)
+        assert Multivector.scalar(1, 2) != 2
+        assert e(1, 2) != 0
+        assert e(1, 2) != 1
+        assert Multivector.scalar(1, 2) != "1"
 
 
 class TestErrors:

@@ -4,13 +4,15 @@ import random
 
 import pytest
 
+from oracles import graded_blocks
 from qclifford import _polyarith as pa
+from qclifford import fischer
 from qclifford.clifford import Multivector
 from qclifford.cpoly import CliffordPoly, vector_variable
 from qclifford.errors import NotHomogeneous, SingularSystem
 from qclifford.fischer import (
     FischerSplit,
-    _graded_blocks,
+    _class0_block,
     _step_solver,
     fischer_adjoint_check,
     fischer_full,
@@ -247,34 +249,54 @@ class TestSolverCertificate:
         assert c.den.is_one() and c.num.d == 1
         return list(c.num.ints)
 
+    @staticmethod
+    def oracle_blocks(m, k):
+        """The oracle's blocks of Q -> q_dirac(x Q) on the degree-(k-1)
+        space, class 0 first, each as (its (alpha, mask) elements, block)."""
+        xv = vector_variable(m)
+        basis = space_basis(m, k - 1)
+        blocks = graded_blocks(lambda R: q_dirac(xv * R), m, basis, basis)
+        return [([basis[i] for i in ids], block) for ids, block in blocks]
+
     @pytest.mark.parametrize("m, kmax", [(1, 4), (2, 4), (3, 4), (4, 3)])
     def test_block_times_inverse_is_det_identity(self, m, kmax):
-        # every class block, assembled on the full basis apart from the
-        # solver, times the solver's inverse of that class is det * I over Z[q]
+        # the class-0 block, assembled on the full basis apart from the
+        # solver, times the solver's one inverse is det * I over Z[q]
         for k in range(1, kmax + 1):
-            xv = vector_variable(m)
-            basis = space_basis(m, k - 1)
-            matrix = {}
-            for ids, block in _graded_blocks(lambda R: q_dirac(xv * R), m, basis, basis):
-                for r, row in enumerate(block):
-                    for c, entry in enumerate(row):
-                        matrix[ids[r], ids[c]] = entry
             solver = _step_solver(m, k)
-            assert len(solver.blocks) == 1 << m
-            covered = set()
-            for ids, inv, det in solver.blocks:
-                covered.update(ids)
-                d = self.int_poly(det)
-                for a in ids:
-                    for b_loc, b in enumerate(ids):
-                        acc = []
-                        for j_loc, j in enumerate(ids):
-                            inv_jb = inv[j_loc][b_loc]
-                            if not inv_jb.is_zero():
-                                acc = pa.add(acc, pa.mul(matrix.get((a, j), []),
-                                                         self.int_poly(inv_jb)))
-                        assert acc == (d if a == b else []), (m, k, a, b)
-            assert covered == set(range(len(basis)))
+            (elements, block0), *_ = self.oracle_blocks(m, k)
+            assert [alpha for alpha, _ in elements] == solver.alphas
+            d = self.int_poly(solver.det)
+            n = len(solver.alphas)
+            for a in range(n):
+                for b in range(n):
+                    acc = []
+                    for j in range(n):
+                        inv_jb = solver.inv[j][b]
+                        if not inv_jb.is_zero():
+                            acc = pa.add(acc, pa.mul(block0[a][j], self.int_poly(inv_jb)))
+                    assert acc == (d if a == b else []), (m, k, a, b)
+
+    @pytest.mark.parametrize("m, kmax", [(1, 4), (2, 4), (3, 4), (4, 3)])
+    def test_class_blocks_are_signed_copies(self, m, kmax):
+        # the class-B block is S_B block_0 S_B, where e_A e_B = s e_(A xor B)
+        # for the class-0 blade e_A of each multi-index, S_B = diag(s); with
+        # the test above, S_B inv_0 S_B inverts every class
+        for k in range(1, kmax + 1):
+            (elements0, block0), *rest = self.oracle_blocks(m, k)
+            assert len(rest) == (1 << m) - 1
+            for elements, block in rest:
+                signs = []
+                B = elements[0][1] ^ elements0[0][1]
+                for (alpha0, A), (alpha, mask) in zip(elements0, elements):
+                    [(prod_mask, s)] = (Multivector.blade(A, m)
+                                        * Multivector.blade(B, m)).terms.items()
+                    assert alpha == alpha0 and prod_mask == mask and s in (ONE, -ONE)
+                    signs.append(1 if s == ONE else -1)
+                for i, row in enumerate(block0):
+                    for j, entry in enumerate(row):
+                        sign = signs[i] * signs[j]
+                        assert block[i][j] == [sign * c for c in entry], (m, k, i, j)
 
 
 def grading_class(alpha, mask):
@@ -302,16 +324,16 @@ class TestGrading:
             for k in range(1, 5):
                 n = len(monomial_multi_indices(m, k - 1))
                 basis = space_basis(m, k - 1)
-                blocks = _graded_blocks(lambda R: q_dirac(vector_variable(m) * R), m,
-                                        basis, basis)
+                blocks = graded_blocks(lambda R: q_dirac(vector_variable(m) * R), m,
+                                       basis, basis)
                 assert len(blocks) == 1 << m
                 assert all(len(ids) == len(block) == n for ids, block in blocks)
 
     def test_cross_class_entry_raises(self):
         # right multiplication by e1 flips bit 1 of the class
-        basis = space_basis(2, 1)
+        alphas = monomial_multi_indices(2, 1)
         with pytest.raises(SingularSystem):
-            _graded_blocks(lambda R: R * e(1, 2), 2, basis, basis)
+            _class0_block(lambda R: R * e(1, 2), 2, alphas, alphas)
 
 
 class TestFischerFull:
@@ -368,6 +390,19 @@ class TestDimensions:
 
     def test_degree_zero(self):
         assert monogenic_dimension(3, 0) == 8
+
+    @pytest.mark.parametrize("m, k", [(3, 4), (4, 3)])
+    def test_one_rank_for_all_classes(self, m, k, monkeypatch):
+        # the 2^m class ranks of the oracle add up to what one rank of the
+        # class-0 block gives
+        rank_ff = fischer.rank_ff
+        blocks = graded_blocks(q_dirac, m, space_basis(m, k), space_basis(m, k - 1))
+        assert len(blocks) == 1 << m
+        expected = space_dimension(m, k) - sum(rank_ff(block) for _, block in blocks)
+        calls = []
+        monkeypatch.setattr(fischer, "rank_ff", lambda block: calls.append(1) or rank_ff(block))
+        assert monogenic_dimension.__wrapped__(m, k) == expected
+        assert len(calls) == 1
 
     def test_space_dimension(self):
         assert space_dimension(3, 2) == 6 * 8
