@@ -127,7 +127,9 @@ def _int_in(lo, hi):
     return parse
 
 
-def _emit(args, command, inputs, result, checks=()):
+def _emit(args, command, inputs, result, checks=(), text=None):
+    """Print the {"command", "inputs", "result", "checks"} line with --json,
+    else the lines of text, by default the result and then each check."""
     if getattr(args, "json", False):
         print(json.dumps({
             "command": command,
@@ -135,10 +137,10 @@ def _emit(args, command, inputs, result, checks=()):
             "result": result,
             "checks": list(checks),
         }))
-    else:
-        print(result)
-        for check in checks:
-            print("%s: %s" % (check["name"], check["status"]))
+        return
+    if text is None:
+        text = [result] + ["%s: %s" % (check["name"], check["status"]) for check in checks]
+    print("\n".join(text))
 
 
 def _cmd_operator(args):
@@ -183,19 +185,21 @@ def _cmd_eval(args):
     return 0
 
 
-def _tower_orthogonal(tower):
+def _tower_checks(tower, P):
     """Whether every step M_s + x Q_s of the tower is Fischer-orthogonal,
-    where Q_s = sum over t > s of x^(t-s-1) M_t is the cofactor of step s."""
+    where Q_s = sum over t > s of x^(t-s-1) M_t is the cofactor of step s,
+    and whether the tower recomposes to P.  One walk down from the top
+    builds each Q_s; its last rest, M_0 + x Q_0, is sum_s x^s M_s."""
     comps = tower.components
     k = len(comps) - 1
     x = vector_variable(comps[0].m)
+    orthogonal = True
     rest = comps[k]
     for s in range(k - 1, -1, -1):
         xQ = x * rest
-        if not fischer_mod.fischer_inner(comps[s], xQ, k - s).is_zero():
-            return False
+        orthogonal = orthogonal and fischer_mod.fischer_inner(comps[s], xQ, k - s).is_zero()
         rest = comps[s] + xQ
-    return True
+    return orthogonal, rest == P
 
 
 def _cmd_fischer(args):
@@ -208,26 +212,21 @@ def _cmd_fischer(args):
                 "degree %d at m = %d is over the fischer size limit: block %d, "
                 "%d^2 * %d > %d" % (k, args.m, n, n, k, MAX_FISCHER_WORK))
     tower = fischer_mod.fischer_full(P)
-    recomposed = tower.recompose() == P
-    monogenic = all(qops.is_monogenic(comp) for comp in tower.components)
-    orthogonal = _tower_orthogonal(tower)
+    comps = tower.components
+    monogenic = all(qops.is_monogenic(comp) for comp in comps)
+    orthogonal, recomposed = _tower_checks(tower, P)
+    recomposition = "exact" if recomposed else "MISMATCH"
     checks = [
-        {"name": "recomposition", "status": "exact" if recomposed else "MISMATCH"},
+        {"name": "recomposition", "status": recomposition},
         {"name": "monogenic", "status": str(monogenic).lower()},
         {"name": "orthogonal", "status": str(orthogonal).lower()},
     ]
-    if getattr(args, "json", False):
-        print(json.dumps({
-            "command": "fischer",
-            "inputs": {"m": args.m, "expr": args.expr},
-            "result": {str(s): str(comp) for s, comp in enumerate(tower.components)},
-            "checks": checks,
-        }))
-    else:
-        k = len(tower.components) - 1
-        for s, comp in enumerate(tower.components):
-            print("s=%d (degree %d): %s" % (s, k - s, comp))
-        print("recomposition: %s" % ("exact" if recomposed else "MISMATCH"))
+    rendered = [str(comp) for comp in comps]
+    k = len(comps) - 1
+    _emit(args, "fischer", {"m": args.m, "expr": args.expr},
+          {str(s): text for s, text in enumerate(rendered)}, checks,
+          ["s=%d (degree %d): %s" % (s, k - s, text) for s, text in enumerate(rendered)]
+          + ["recomposition: " + recomposition])
     failed = [c["name"] for c in checks if c["status"] not in ("exact", "true")]
     if failed:
         raise InternalInvariantViolation("tower certificate failed: %s" % ", ".join(failed))
@@ -262,6 +261,7 @@ def _cmd_verify(args):
     seed = args.seed if args.seed is not None else random.randrange(2**32)
     failures = []
     checks = []
+    text = ["seed: %d" % seed]
     for name in names:
         rng = random.Random(seed ^ zlib.crc32(name.encode()))
         counterexample = None
@@ -275,6 +275,7 @@ def _cmd_verify(args):
                 break
         if counterexample is None:
             checks.append({"name": name, "status": "ok", "trials": args.trials})
+            text.append("%s: ok (%d trials)" % (name, args.trials))
         else:
             P, G, residual = counterexample
             checks.append({
@@ -285,26 +286,13 @@ def _cmd_verify(args):
                 "second": str(G),
                 "residual": str(residual),
             })
+            text.append("%(name)s: FAIL m=%(m)s P=%(P)s second=%(second)s residual=%(residual)s"
+                        % checks[-1])
             failures.append(name)
     status = "fail" if failures else "pass"
-    if getattr(args, "json", False):
-        print(json.dumps({
-            "command": "verify",
-            "inputs": {"m": args.m, "degree": args.degree, "trials": args.trials,
-                       "seed": seed, "relations": names},
-            "result": status,
-            "checks": checks,
-        }))
-    else:
-        print("seed: %d" % seed)
-        for check in checks:
-            if check["status"] == "ok":
-                print("%s: ok (%d trials)" % (check["name"], check["trials"]))
-            else:
-                print("%s: FAIL m=%s P=%s second=%s residual=%s" % (
-                    check["name"], check["m"], check["P"], check["second"],
-                    check["residual"]))
-        print(status)
+    text.append(status)
+    _emit(args, "verify", {"m": args.m, "degree": args.degree, "trials": args.trials,
+                           "seed": seed, "relations": names}, status, checks, text)
     return 1 if failures else 0
 
 

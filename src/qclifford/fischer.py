@@ -17,7 +17,7 @@ and counts it 2^m times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -29,32 +29,29 @@ from .qfield import ONE, ZERO, QPoly, QScalar, q_factorial
 from .qops import q_dirac, q_partial
 
 
-@dataclass(frozen=True)
-class FischerSplit:
-    """P = monogenic + x * cofactor with q_dirac(monogenic) = 0."""
+class FischerSplit(namedtuple("FischerSplit", "monogenic cofactor")):
+    """P = monogenic + x * cofactor with q_dirac(monogenic) = 0.  A named
+    tuple: it compares by value and unpacks as (monogenic, cofactor)."""
 
-    monogenic: CliffordPoly
-    cofactor: CliffordPoly
+    __slots__ = ()
 
     def recompose(self):
         return self.monogenic + vector_variable(self.monogenic.m) * self.cofactor
 
 
-@dataclass(frozen=True)
-class FischerTower:
+class FischerTower(namedtuple("FischerTower", "components")):
     """components[s] is the monogenic part of degree k - s, so that the
-    original polynomial equals sum_s x^s components[s]."""
+    original polynomial equals sum_s x^s components[s].  A named tuple
+    of one field, compared by value."""
 
-    components: tuple
+    __slots__ = ()
 
     def recompose(self):
-        m = self.components[0].m
-        xv = vector_variable(m)
-        acc = CliffordPoly.zero(m)
-        power = CliffordPoly.one(m)
-        for comp in self.components:
-            acc = acc + power * comp
-            power = power * xv
+        comps = self.components
+        xv = vector_variable(comps[0].m)
+        acc = comps[-1]
+        for comp in reversed(comps[:-1]):
+            acc = comp + xv * acc
         return acc
 
 
@@ -254,9 +251,8 @@ def fischer_full(P):
     comps = []
     rest = P
     for _ in range(k + 1):
-        split = fischer_step(rest)
-        comps.append(split.monogenic)
-        rest = split.cofactor
+        M, rest = fischer_step(rest)
+        comps.append(M)
     return FischerTower(tuple(comps))
 
 

@@ -1,5 +1,5 @@
 """Expression front end: a precedence-climbing parser for polynomial and
-multivector expressions, and the lowering of its AST into the algebra.
+multivector expressions, and the lowering of its tree into the algebra.
 
 Grammar, loosest to tightest binding: addition/subtraction, then
 multiplication/division, then unary minus, then power (nonnegative
@@ -10,6 +10,9 @@ variables in one-dimensional mode).  Division is valid whenever the
 divisor is a scalar constant; this covers rational literals like 1/2 and
 makes every canonical rendering reparse.  Parentheses and unary minus
 nest at most MAX_DEPTH levels deep; deeper input is a ParseError.
+
+The parser builds every atom as a CliffordPoly at once; its tree keeps,
+as tagged tuples, only the operations whose cost lowering checks first.
 
 Lowering checks the cost of '^' and '*' before it computes them, so
 hostile input fails at once with InvalidArgument.  An exponent, and the
@@ -22,13 +25,10 @@ denominator, of one monomial-blade coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .cpoly import CliffordPoly
 from .errors import DivisionByZero, InvalidArgument, InvalidVariable, ParseError
 from .jackson import _unipoly
-from .qfield import QPoly, QScalar
+from .qfield import Q, QScalar
 
 
 #: nesting limit for parentheses and unary minus; each level costs a few
@@ -43,43 +43,8 @@ MAX_EXPONENT = 1000
 #: about 1 s on a 2-vCPU VM with CPython 3.11
 MAX_TERM_PAIRS = 300_000
 
-
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class SymQ:
-    pass
-
-
-@dataclass(frozen=True)
-class Var:
-    index: int
-
-
-@dataclass(frozen=True)
-class Gen:
-    index: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+#: binding strength of the binary operators
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 def tokenize(text):
@@ -152,19 +117,19 @@ class _Parser:
         left = self.unary()
         while True:
             kind, _, _ = self.peek()
-            prec = {"+": 1, "-": 1, "*": 2, "/": 2}.get(kind)
+            prec = _PRECEDENCE.get(kind)
             if prec is None or prec < min_prec:
                 return left
             self.advance()
             right = self.expr(prec + 1)
-            left = BinOp(kind, left, right)
+            left = (kind, left, right)
 
     def unary(self):
         kind, _, pos = self.peek()
         if kind == "-":
             self.advance()
             self.nest(pos)
-            node = Neg(self.unary())
+            node = ("neg", self.unary())
             self.depth -= 1
             return node
         return self.power()
@@ -174,13 +139,13 @@ class _Parser:
         if self.peek()[0] == "^":
             self.advance()
             tok = self.expect("int")
-            return Pow(base, int(tok[1]))
+            return ("^", base, int(tok[1]))
         return base
 
     def atom(self):
         kind, text, pos = self.advance()
         if kind == "int":
-            return Num(Fraction(int(text)))
+            return CliffordPoly.scalar(QScalar(int(text)), self.m)
         if kind == "(":
             self.nest(pos)
             inner = self.expr(0)
@@ -193,10 +158,10 @@ class _Parser:
 
     def name_atom(self, text, pos):
         if text == "q":
-            return SymQ()
+            return CliffordPoly.scalar(Q, self.m)
         if self.one_dim:
             if text == "t":
-                return Var(1)
+                return CliffordPoly.variable(1, 1)
             raise ParseError("unknown symbol %r (expected t or q)" % text, pos)
         head, tail = text[0], text[1:]
         if head in ("x", "e") and tail.isdigit():
@@ -205,12 +170,16 @@ class _Parser:
                 raise InvalidVariable(
                     "%s exceeds dimension m = %d" % (text, self.m)
                 )
-            return Var(index) if head == "x" else Gen(index)
+            if head == "x":
+                return CliffordPoly.variable(index, self.m)
+            return CliffordPoly.generator(index, self.m)
         raise ParseError("unknown symbol %r" % text, pos)
 
 
 def parse(text, m):
-    """Parse an expression over x1..xm (plus x0/e0) into an AST."""
+    """Parse an expression over x1..xm (plus x0/e0) into a tree for
+    `lower`: a CliffordPoly, ("neg", tree), (op, tree, tree) with op one
+    of + - * /, or ("^", tree, n)."""
     return _Parser(text, m).parse()
 
 
@@ -263,38 +232,30 @@ def _binop(op, left, right):
 
 
 def lower(expr, m, scale=1):
-    """Evaluate an AST in the polynomial algebra.  scale is the product of
-    the exponents around expr."""
-    if isinstance(expr, Num):
-        return CliffordPoly.scalar(QScalar(QPoly((expr.value,))), m)
-    if isinstance(expr, SymQ):
-        return CliffordPoly.scalar(QScalar(QPoly((0, 1))), m)
-    if isinstance(expr, Var):
-        return CliffordPoly.variable(expr.index, m)
-    if isinstance(expr, Gen):
-        return CliffordPoly.generator(expr.index, m)
-    if isinstance(expr, Neg):
-        return -lower(expr.operand, m, scale)
-    if isinstance(expr, Pow):
-        n = expr.exponent
+    """Evaluate a tree from `parse` in the polynomial algebra.  scale is
+    the product of the exponents around expr."""
+    if not isinstance(expr, tuple):
+        return expr
+    if expr[0] == "neg":
+        return -lower(expr[1], m, scale)
+    if expr[0] == "^":
+        _, base, n = expr
         if n > MAX_EXPONENT:
             raise InvalidArgument("exponent %d exceeds the limit of %d" % (n, MAX_EXPONENT))
         if scale * n > MAX_EXPONENT:
             raise InvalidArgument("nested exponents multiply to %d, over the limit of %d"
                                   % (scale * n, MAX_EXPONENT))
-        return _power(lower(expr.base, m, scale * n), n)
-    if isinstance(expr, BinOp):
-        # a chain like a + b + c nests to the left as deep as it is long,
-        # so walk that spine in a loop
-        spine = []
-        while isinstance(expr, BinOp):
-            spine.append(expr)
-            expr = expr.left
-        acc = lower(expr, m, scale)
-        for node in reversed(spine):
-            acc = _binop(node.op, acc, lower(node.right, m, scale))
-        return acc
-    raise TypeError("not an expression node: %r" % (expr,))
+        return _power(lower(base, m, scale * n), n)
+    # a chain like a + b + c nests to the left as deep as it is long,
+    # so walk that spine in a loop
+    spine = []
+    while isinstance(expr, tuple) and expr[0] in _PRECEDENCE:
+        spine.append(expr)
+        expr = expr[1]
+    acc = lower(expr, m, scale)
+    for op, _, right in reversed(spine):
+        acc = _binop(op, acc, lower(right, m, scale))
+    return acc
 
 
 def parse_poly(text, m):

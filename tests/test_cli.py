@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qclifford
 from qclifford import qops
 from qclifford.cli import MAX_CK_WORK, MAX_FISCHER_WORK, MAX_ORDER, MAX_RATIONAL_DIGITS, main
 from qclifford.cpoly import CliffordPoly
@@ -60,9 +64,17 @@ class TestFischer:
     def test_tower_output(self, capsys):
         code, out, _ = run(capsys, "fischer", "--m", "2", "x1^3")
         assert code == 0
-        lines = out.strip().splitlines()
-        assert len(lines) == 5
-        assert lines[-1] == "recomposition: exact"
+        assert out == (
+            "s=0 (degree 3): (1/2/(2 + q + q^2))*x1^3"
+            " + ((-1/2 - 1/2*q - 1/2*q^2)/(2 + q + q^2))*x1^2*x2*e1*e2"
+            " + ((-1/2 - 1/2*q - 1/2*q^2)/(2 + q + q^2))*x1*x2^2"
+            " + (1/2/(2 + q + q^2))*x2^3*e1*e2\n"
+            "s=1 (degree 2): (-1/2/(3 + q))*x1^2*e1 + ((1/2 + 1/2*q)/(3 + q))*x1*x2*e2"
+            " + (1/2/(3 + q))*x2^2*e1\n"
+            "s=2 (degree 1): ((-1 - 1/2*q)/(3 + q))*x1 + ((1 + 1/2*q)/(3 + q))*x2*e1*e2\n"
+            "s=3 (degree 0): ((1/2 + 1/2*q + 1/2*q^2)/(2 + q + q^2))*e1\n"
+            "recomposition: exact\n"
+        )
 
     def test_json_components_reparse_and_recompose(self, capsys):
         code, out, _ = run(capsys, "fischer", "--m", "2", "--json", "x1^2")
@@ -98,6 +110,22 @@ class TestFischer:
         statuses = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
         assert statuses == {"recomposition": "exact", "monogenic": "false",
                             "orthogonal": "false"}
+
+    def test_tower_that_does_not_recompose_exits_3(self, capsys, monkeypatch):
+        from qclifford import fischer as fischer_mod
+
+        # the certified tower of another input
+        full = fischer_mod.fischer_full
+        monkeypatch.setattr(fischer_mod, "fischer_full", lambda P: full(P * 2))
+        code, out, err = run(capsys, "fischer", "--m", "2", "--json", "--", "x1^3")
+        assert code == 3
+        assert "Traceback" not in err
+        statuses = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+        assert statuses == {"recomposition": "MISMATCH", "monogenic": "true",
+                            "orthogonal": "true"}
+        code, out, _ = run(capsys, "fischer", "--m", "2", "--", "x1^3")
+        assert code == 3
+        assert out.splitlines()[-1] == "recomposition: MISMATCH"
 
 
 class TestPowerLimits:
@@ -223,6 +251,12 @@ class TestFuzz:
 
 
 class TestVerify:
+    def test_text_output(self, capsys):
+        code, out, _ = run(capsys, "verify", "--relation", "weyl", "--m", "2",
+                           "--degree", "2", "--trials", "2", "--seed", "1")
+        assert code == 0
+        assert out == "seed: 1\nweyl: ok (2 trials)\npass\n"
+
     def test_single_relation(self, capsys):
         code, out, _ = run(capsys, "verify", "--relation", "weyl", "--m", "3",
                            "--degree", "4", "--trials", "10", "--seed", "1")
@@ -264,8 +298,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--relation", "bogus",
                            "--trials", "3", "--seed", "5")
         assert code == 1
-        assert "bogus: FAIL" in out
-        assert out.strip().endswith("fail")
+        assert out == (
+            "seed: 5\n"
+            "bogus: FAIL m=3 P=q*x2^2*e2 - 2*x2^2*e1*e3 - 3*q*x2*x3 + q*x1*x2^2*e1*e2*e3"
+            " + q^2*x1*x3^2*e1*e2*e3"
+            " second=q*x1^2*e1*e3 - 2*x1^2*e1*e2*e3 + 2*q^2*x2^2*x3^2 - 2*x2^2*x3^2*e2*e3"
+            " residual=1 + q*x2^2*e2 - 2*x2^2*e1*e3 - 3*q*x2*x3 + q*x1*x2^2*e1*e2*e3"
+            " + q^2*x1*x3^2*e1*e2*e3\n"
+            "fail\n"
+        )
 
     def test_unknown_relation_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--relation", "nonsense")
@@ -442,6 +483,18 @@ class TestBadNumbers:
         assert out == ""
         assert "argument --m" in err
         assert "Traceback" not in err
+
+
+class TestColdImport:
+    def test_cli_imports_neither_dataclasses_nor_inspect(self):
+        # -S keeps out the site packages, whose .pth files may import either
+        src = os.path.dirname(os.path.dirname(qclifford.__file__))
+        code = ("import sys; sys.path.insert(0, %r); import qclifford.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))" % src)
+        done = subprocess.run([sys.executable, "-S", "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
 
 class TestNoTraceback:

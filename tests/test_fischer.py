@@ -379,6 +379,15 @@ class TestFischerFull:
             for comp in tower.components:
                 assert is_monogenic(comp)
 
+    def test_results_compare_by_value(self):
+        # perfbench's worker keeps a repeated input's output only while it
+        # equals the earlier one, which needs value equality
+        P, R = x(1, 2) ** 2 * e(1, 2), x(2, 2) ** 2 * e(1, 2)
+        assert fischer_full(P) == fischer_full(P)
+        assert fischer_step(P) == fischer_step(P)
+        assert fischer_full(P) != fischer_full(R)
+        assert fischer_step(P) != fischer_step(R)
+
 
 class TestDimensions:
     def test_monogenic_dimension_formula(self):
