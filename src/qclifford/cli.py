@@ -26,7 +26,7 @@ from . import fischer as fischer_mod
 from . import jackson as jackson_mod
 from . import qops
 from .cpoly import evaluate_poly, vector_variable
-from .errors import InvalidArgument, QCliffordError, SingularSystem
+from .errors import InvalidArgument, NotHomogeneous, QCliffordError, SingularSystem
 from .parser import parse_poly, parse_unipoly
 from .randpoly import random_poly
 
@@ -189,7 +189,9 @@ def _tower_checks(tower, P):
     """Whether every step M_s + x Q_s of the tower is Fischer-orthogonal,
     where Q_s = sum over t > s of x^(t-s-1) M_t is the cofactor of step s,
     and whether the tower recomposes to P.  One walk down from the top
-    builds each Q_s; its last rest, M_0 + x Q_0, is sum_s x^s M_s."""
+    builds each Q_s; its last rest, M_0 + x Q_0, is sum_s x^s M_s.  A
+    component of the wrong degree is not orthogonal: the tower is broken,
+    the input is not at fault."""
     comps = tower.components
     k = len(comps) - 1
     x = vector_variable(comps[0].m)
@@ -197,7 +199,11 @@ def _tower_checks(tower, P):
     rest = comps[k]
     for s in range(k - 1, -1, -1):
         xQ = x * rest
-        orthogonal = orthogonal and fischer_mod.fischer_inner(comps[s], xQ, k - s).is_zero()
+        if orthogonal:
+            try:
+                orthogonal = fischer_mod.fischer_inner(comps[s], xQ, k - s).is_zero()
+            except NotHomogeneous:
+                orthogonal = False
         rest = comps[s] + xQ
     return orthogonal, rest == P
 

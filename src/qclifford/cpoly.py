@@ -13,6 +13,7 @@ re-validating them, since valid operands give valid results.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .clifford import Multivector
 from .errors import AlgebraMismatch, InvalidArgument, InvalidVariable
@@ -165,10 +166,18 @@ class CliffordPoly:
         return _cliffordpoly(self.m, {a: -mv for a, mv in self.terms.items()})
 
     def __mul__(self, other):
+        if isinstance(other, (QScalar, int, Fraction)):
+            return self._scaled(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         self._compat(other)
+        if len(other.terms) == 1:
+            (ab, mb), = other.terms.items()
+            return _times_term(self, ab, mb, False)
+        if len(self.terms) == 1:
+            (aa, ma), = self.terms.items()
+            return _times_term(other, aa, ma, True)
         out = {}
         for aa, ma in self.terms.items():
             for ab, mb in other.terms.items():
@@ -181,12 +190,21 @@ class CliffordPoly:
     def __rmul__(self, other):
         # called for scalar * poly and Multivector * poly; scalars are
         # central but a Multivector must multiply from the left
+        if isinstance(other, (QScalar, int, Fraction)):
+            return self._scaled(other)
         if isinstance(other, Multivector):
-            return CliffordPoly.from_multivector(other) * self
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self
+            self._compat(other)
+            return _times_term(self, _zero_alpha(self.m), other, True)
+        return NotImplemented
+
+    def _scaled(self, s):
+        """P times a central scalar: one pass over the coefficients, none
+    for the scalar 1, which keeps P's Multivectors."""
+        if not isinstance(s, QScalar):
+            s = QScalar(QPoly((s,)))
+        if s.is_one():
+            return _cliffordpoly(self.m, self.terms)
+        return _cliffordpoly(self.m, {a: mv * s for a, mv in self.terms.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -235,21 +253,45 @@ def _cliffordpoly(m, terms):
     return p
 
 
+def _times_term(P, shift, mv, left):
+    """P times the one-term polynomial x^shift mv, mv on the left if `left`.
+    Adding `shift` to the multi-indices is injective, so no two products
+    land on one term."""
+    if len(mv.terms) == 1 and 0 in mv.terms:
+        out = P._scaled(mv.terms[0]).terms
+    elif left:
+        out = {a: mv * ma for a, ma in P.terms.items()}
+    else:
+        out = {a: ma * mv for a, ma in P.terms.items()}
+    if any(shift):
+        out = {tuple(x + y for x, y in zip(a, shift)): ma for a, ma in out.items()}
+    return _cliffordpoly(P.m, out)
+
+
+def _unit(i, m, k=1):
+    """The multi-index of x_i^k."""
+    return tuple(k if j == i else 0 for j in range(m + 1))
+
+
 def vector_variable(m):
     """The vector variable: sum of x_i e_i over i = 1..m."""
-    acc = CliffordPoly.zero(m)
-    for i in range(1, m + 1):
-        acc = acc + CliffordPoly.variable(i, m) * CliffordPoly.generator(i, m)
-    return acc
+    return _cliffordpoly(m, {_unit(i, m): Multivector.basis(i, m) for i in range(1, m + 1)})
 
 
 def norm_squared(m):
     """|x|^2 = x_1^2 + ... + x_m^2; equals minus the square of the vector
     variable."""
-    acc = CliffordPoly.zero(m)
-    for i in range(1, m + 1):
-        acc = acc + CliffordPoly.variable(i, m) ** 2
-    return acc
+    one = Multivector.scalar(ONE, m)
+    return _cliffordpoly(m, {_unit(i, m, 2): one for i in range(1, m + 1)})
+
+
+# One shared copy per (i, m) of the constants the operators multiply by.
+# They are private: a caller that mutates a value from the public
+# constructors above changes only its own copy.
+_variable = lru_cache(maxsize=None)(CliffordPoly.variable)
+_generator = lru_cache(maxsize=None)(CliffordPoly.generator)
+_vector_variable = lru_cache(maxsize=None)(vector_variable)
+_norm_squared = lru_cache(maxsize=None)(norm_squared)
 
 
 def homogeneous_part(P, k):

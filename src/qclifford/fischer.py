@@ -23,7 +23,7 @@ from math import comb
 
 from ._linalg import invert_ff, rank_ff
 from .clifford import Multivector, _multivector, blade_product
-from .cpoly import CliffordPoly, _cliffordpoly, vector_variable
+from .cpoly import CliffordPoly, _cliffordpoly, _vector_variable
 from .errors import NotHomogeneous, SingularSystem
 from .qfield import ONE, ZERO, QPoly, QScalar, q_factorial
 from .qops import q_dirac, q_partial
@@ -36,7 +36,7 @@ class FischerSplit(namedtuple("FischerSplit", "monogenic cofactor")):
     __slots__ = ()
 
     def recompose(self):
-        return self.monogenic + vector_variable(self.monogenic.m) * self.cofactor
+        return self.monogenic + _vector_variable(self.monogenic.m) * self.cofactor
 
 
 class FischerTower(namedtuple("FischerTower", "components")):
@@ -48,7 +48,7 @@ class FischerTower(namedtuple("FischerTower", "components")):
 
     def recompose(self):
         comps = self.components
-        xv = vector_variable(comps[0].m)
+        xv = _vector_variable(comps[0].m)
         acc = comps[-1]
         for comp in reversed(comps[:-1]):
             acc = comp + xv * acc
@@ -148,7 +148,7 @@ def fischer_adjoint_check(Qp, P):
         kp = kq + 1
     if kp != kq + 1:
         raise NotHomogeneous("degrees must be k and k+1")
-    lhs = fischer_inner(vector_variable(P.m) * Qp, P, kp)
+    lhs = fischer_inner(_vector_variable(P.m) * Qp, P, kp)
     rhs = fischer_inner(Qp, q_dirac(P), kq)
     return lhs, rhs
 
@@ -199,7 +199,7 @@ class _StepSolver:
         self.m = m
         self.k = k
         self.alphas = monomial_multi_indices(m, k - 1)
-        xv = vector_variable(m)
+        xv = _vector_variable(m)
         inv, det = invert_ff(
             _class0_block(lambda Q: q_dirac(xv * Q), m, self.alphas, self.alphas))
         self.inv = [[QScalar(QPoly(entry)) if entry else ZERO for entry in row] for row in inv]
@@ -239,7 +239,7 @@ def fischer_step(P):
     if k is None or k == 0:
         return FischerSplit(P, CliffordPoly.zero(P.m))
     Qp = _step_solver(P.m, k).solve(q_dirac(P))
-    return FischerSplit(P - vector_variable(P.m) * Qp, Qp)
+    return FischerSplit(P - _vector_variable(P.m) * Qp, Qp)
 
 
 def fischer_full(P):

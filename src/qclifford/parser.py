@@ -26,7 +26,7 @@ denominator, of one monomial-blade coefficient.
 from __future__ import annotations
 
 from .cpoly import CliffordPoly
-from .errors import DivisionByZero, InvalidArgument, InvalidVariable, ParseError
+from .errors import AlgebraMismatch, DivisionByZero, InvalidArgument, InvalidVariable, ParseError
 from .jackson import _unipoly
 from .qfield import Q, QScalar
 
@@ -233,8 +233,12 @@ def _binop(op, left, right):
 
 def lower(expr, m, scale=1):
     """Evaluate a tree from `parse` in the polynomial algebra.  scale is
-    the product of the exponents around expr."""
+    the product of the exponents around expr.  The tree's leaves must be
+    polynomials in m variables."""
     if not isinstance(expr, tuple):
+        if expr.m != m:
+            raise AlgebraMismatch("expression over dimension %d lowered at m = %d"
+                                  % (expr.m, m))
         return expr
     if expr[0] == "neg":
         return -lower(expr[1], m, scale)

@@ -2,9 +2,13 @@
 
 q_partial implements the monomial rule x^a -> [a]_q x^(a-1) per variable
 (the difference-quotient definition is an exactly-tested equivalence, not
-the implementation).  Dirac, Euler, Gamma and Laplace are built from it;
-Clifford coefficients are multiplied from the left, matching the
-left-monogenic convention.
+the implementation).  Dirac, Euler, Gamma and Laplace are maps on the
+monomial terms, each written into one result: Euler is diagonal,
+x^a -> (sum_i [a_i]_q) x^a, Laplace sends x^a to
+sum_i [a_i]_q [a_i - 1]_q x^(a - 2 e_i), and the Dirac and Gamma sums map
+the blades of each q_partial by the Clifford product sign.  Clifford
+coefficients are multiplied from the left, matching the left-monogenic
+convention.
 
 check_relation evaluates one named operator identity on a concrete
 polynomial and returns the residual LHS - RHS; the zero polynomial
@@ -13,24 +17,30 @@ certifies the identity on that input.
 
 from __future__ import annotations
 
-from .cpoly import CliffordPoly, _cliffordpoly, norm_squared, q_shift, vector_variable
+from .clifford import _multivector, blade_product
+from .cpoly import (
+    CliffordPoly,
+    _cliffordpoly,
+    _generator,
+    _norm_squared,
+    _variable,
+    _vector_variable,
+    q_shift,
+)
 from .errors import InvalidArgument, InvalidVariable, UsesExtendedAlgebra
-from .qfield import Q, q_bracket
+from .qfield import ZERO, Q, q_bracket
 
 
 def q_partial(P, i):
     """q-partial derivative in x_i: x^a -> [a_i]_q x^(a - e_i)."""
     if i < 0 or i > P.m:
         raise InvalidVariable("variable index %d out of range" % i)
+    # alpha -> alpha - e_i is injective, so no two terms meet
     out = {}
     for alpha, mv in P.terms.items():
         a = alpha[i]
-        if not a:
-            continue
-        beta = alpha[:i] + (a - 1,) + alpha[i + 1:]
-        mv = mv * q_bracket(a)
-        cur = out.get(beta)
-        out[beta] = mv if cur is None else cur + mv
+        if a:
+            out[alpha[:i] + (a - 1,) + alpha[i + 1:]] = mv if a == 1 else mv * q_bracket(a)
     return _cliffordpoly(P.m, out)
 
 
@@ -41,12 +51,30 @@ def _require_plain(P):
         )
 
 
+def _accumulate(out, alpha, blade, sign, mv):
+    """Add sign * e_blade * mv to the coefficient of x^alpha in out, a map
+    multi-index -> {mask: QScalar}."""
+    acc = out.setdefault(alpha, {})
+    for mask, c in mv.terms.items():
+        s, mask = blade_product(blade, mask)
+        cur = acc.get(mask)
+        if s == sign:
+            acc[mask] = c if cur is None else cur + c
+        else:
+            acc[mask] = -c if cur is None else cur - c
+
+
+def _from_accumulated(m, out):
+    return _cliffordpoly(m, {alpha: _multivector(m, t) for alpha, t in out.items()})
+
+
 def _dirac_vector_part(P):
     """-sum_{i=1..m} e_i d_i^q, defined on extended-algebra content too."""
-    acc = CliffordPoly.zero(P.m)
+    out = {}
     for i in range(1, P.m + 1):
-        acc = acc - CliffordPoly.generator(i, P.m) * q_partial(P, i)
-    return acc
+        for beta, mv in q_partial(P, i).terms.items():
+            _accumulate(out, beta, 1 << i, -1, mv)
+    return _from_accumulated(P.m, out)
 
 
 def q_dirac(P):
@@ -56,33 +84,46 @@ def q_dirac(P):
 
 
 def q_euler(P):
-    """q-Euler operator: sum of x_i times the i-th q-partial."""
-    acc = CliffordPoly.zero(P.m)
-    for i in range(1, P.m + 1):
-        acc = acc + CliffordPoly.variable(i, P.m) * q_partial(P, i)
-    return acc
+    """q-Euler operator: sum of x_i times the i-th q-partial, which scales
+    x^a by sum_i [a_i]_q."""
+    out = {}
+    for alpha, mv in P.terms.items():
+        c = ZERO
+        for a in alpha[1:]:
+            if a:
+                c = c + q_bracket(a)
+        if c:
+            out[alpha] = mv * c
+    return _cliffordpoly(P.m, out)
 
 
 def q_gamma(P):
     """q-Gamma (angular) operator:
     -sum_{i<j} e_i e_j (x_i d_j - x_j d_i)."""
     m = P.m
-    acc = CliffordPoly.zero(m)
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            inner = CliffordPoly.variable(i, m) * q_partial(P, j) - CliffordPoly.variable(
-                j, m
-            ) * q_partial(P, i)
-            acc = acc - CliffordPoly.generator(i, m) * CliffordPoly.generator(j, m) * inner
-    return acc
+    out = {}
+    for j in range(1, m + 1):
+        for beta, mv in q_partial(P, j).terms.items():
+            # x_i d_j enters with -e_i e_j for i < j and +e_j e_i for i > j
+            for i in range(1, m + 1):
+                if i != j:
+                    alpha = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    _accumulate(out, alpha, (1 << i) | (1 << j), -1 if i < j else 1, mv)
+    return _from_accumulated(m, out)
 
 
 def q_laplace(P):
     """q-Laplace operator: sum of squared q-partials."""
-    acc = CliffordPoly.zero(P.m)
-    for i in range(1, P.m + 1):
-        acc = acc + q_partial(q_partial(P, i), i)
-    return acc
+    out = {}
+    for alpha, mv in P.terms.items():
+        for i in range(1, P.m + 1):
+            a = alpha[i]
+            if a > 1:
+                beta = alpha[:i] + (a - 2,) + alpha[i + 1:]
+                mv2 = mv * (q_bracket(a) * q_bracket(a - 1))
+                cur = out.get(beta)
+                out[beta] = mv2 if cur is None else cur + mv2
+    return _cliffordpoly(P.m, out)
 
 
 def is_monogenic(P):
@@ -114,11 +155,11 @@ def _relation(name, *aliases):
 
 
 def _x(P, i):
-    return CliffordPoly.variable(i, P.m)
+    return _variable(i, P.m)
 
 
 def _e(P, i):
-    return CliffordPoly.generator(i, P.m)
+    return _generator(i, P.m)
 
 
 _Q2 = Q * Q
@@ -178,8 +219,8 @@ def _partial_sq_xsq(P, _):
 
 @_relation("anticomm_x_x")
 def _anticomm_x_x(P, _):
-    xv = vector_variable(P.m)
-    yield xv * (xv * P) + xv * (xv * P) + 2 * norm_squared(P.m) * P
+    xv = _vector_variable(P.m)
+    yield xv * (xv * P) + xv * (xv * P) + 2 * _norm_squared(P.m) * P
 
 
 @_relation("dirac_squared")
@@ -189,13 +230,13 @@ def _dirac_squared(P, _):
 
 @_relation("anticomm_dirac_x")
 def _anticomm_dirac_x(P, _):
-    xv = vector_variable(P.m)
+    xv = _vector_variable(P.m)
     yield q_dirac(xv * P) + xv * q_dirac(P) - _TWO * q_euler(P) - P.m * P
 
 
 @_relation("comm_euler_x")
 def _comm_euler_x(P, _):
-    xv = vector_variable(P.m)
+    xv = _vector_variable(P.m)
     s = CliffordPoly.zero(P.m)
     for i in range(1, P.m + 1):
         s = s + _x(P, i) ** 2 * (_e(P, i) * q_partial(P, i))
@@ -214,8 +255,8 @@ def _comm_euler_dirac(P, _):
 @_relation("comm_normsq_dirac")
 def _comm_normsq_dirac(P, _):
     # [|x|^2, D] = [2] x + (q^2-1) sum x_i^2 e_i d_i
-    nsq = norm_squared(P.m)
-    xv = vector_variable(P.m)
+    nsq = _norm_squared(P.m)
+    xv = _vector_variable(P.m)
     s = CliffordPoly.zero(P.m)
     for i in range(1, P.m + 1):
         s = s + _x(P, i) ** 2 * (_e(P, i) * q_partial(P, i))
@@ -224,7 +265,7 @@ def _comm_normsq_dirac(P, _):
 
 @_relation("comm_euler_normsq")
 def _comm_euler_normsq(P, _):
-    nsq = norm_squared(P.m)
+    nsq = _norm_squared(P.m)
     s = CliffordPoly.zero(P.m)
     for i in range(1, P.m + 1):
         s = s + _x(P, i) ** 3 * q_partial(P, i)
@@ -233,7 +274,7 @@ def _comm_euler_normsq(P, _):
 
 @_relation("comm_laplace_x")
 def _comm_laplace_x(P, _):
-    xv = vector_variable(P.m)
+    xv = _vector_variable(P.m)
     s = CliffordPoly.zero(P.m)
     for i in range(1, P.m + 1):
         s = s + _x(P, i) * (_e(P, i) * q_partial(q_partial(P, i), i))
@@ -256,7 +297,7 @@ def _comm_euler_laplace(P, _):
 @_relation("comm_laplace_normsq")
 def _comm_laplace_normsq(P, _):
     # [Laplace, |x|^2] = q [2][2] E + [2] m + (q^4-1) sum x_i^2 d_i^2
-    nsq = norm_squared(P.m)
+    nsq = _norm_squared(P.m)
     s = CliffordPoly.zero(P.m)
     for i in range(1, P.m + 1):
         s = s + _x(P, i) ** 2 * q_partial(q_partial(P, i), i)
@@ -271,7 +312,7 @@ def _comm_laplace_normsq(P, _):
 
 @_relation("gamma_def")
 def _gamma_def(P, _):
-    xv = vector_variable(P.m)
+    xv = _vector_variable(P.m)
     yield (
         xv * q_dirac(P)
         - q_dirac(xv * P)
@@ -283,19 +324,19 @@ def _gamma_def(P, _):
 
 @_relation("gamma_product")
 def _gamma_product(P, _):
-    xv = vector_variable(P.m)
+    xv = _vector_variable(P.m)
     yield xv * q_dirac(P) - q_euler(P) - q_gamma(P)
 
 
 @_relation("axiom_a1")
 def _axiom_a1(P, _):
     # D applied to the vector variable itself gives m (not [m]_q)
-    yield q_dirac(vector_variable(P.m)) - CliffordPoly.scalar(P.m, P.m)
+    yield q_dirac(_vector_variable(P.m)) - CliffordPoly.scalar(P.m, P.m)
 
 
 @_relation("axiom_a2_replacement")
 def _axiom_a2(P, _):
-    xv = vector_variable(P.m)
+    xv = _vector_variable(P.m)
     xsq = xv * xv
     s = CliffordPoly.zero(P.m)
     for i in range(1, P.m + 1):
@@ -314,7 +355,7 @@ def _axiom_a2(P, _):
 def _dirac_x2f_form1(P, _):
     # D(x^2 f) = [2] sum e_i x_i f(..q x_i..) + x^2 D(f); the second term
     # carries the vector variable squared, i.e. minus |x|^2
-    xv = vector_variable(P.m)
+    xv = _vector_variable(P.m)
     xsq = xv * xv
     s = CliffordPoly.zero(P.m)
     for i in range(1, P.m + 1):
@@ -324,9 +365,9 @@ def _dirac_x2f_form1(P, _):
 
 @_relation("dirac_x2f_form2")
 def _dirac_x2f_form2(P, _):
-    xv = vector_variable(P.m)
+    xv = _vector_variable(P.m)
     xsq = xv * xv
-    nsq = norm_squared(P.m)
+    nsq = _norm_squared(P.m)
     s = CliffordPoly.zero(P.m)
     for i in range(1, P.m + 1):
         s = s + _e(P, i) * (q_shift(nsq, i) * q_partial(P, i))

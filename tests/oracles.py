@@ -6,12 +6,16 @@ machinery, the Z[q] gcd by the primitive polynomial remainder sequence
 instead of the library's heuristic gcd, and the Fischer operator matrix
 as all of its 2^m grading-class blocks instead of the library's one
 class-0 block, so agreement with the package is a genuine cross-check.
+The q-operators are composed here as the operator sums they are defined
+by, from q_partial and the general double-loop product, against the
+library's one-pass term maps and one-term products.
 """
 
 from qclifford import _polyarith as pa
 from qclifford.clifford import Multivector
 from qclifford.cpoly import CliffordPoly, q_shift
 from qclifford.errors import SingularSystem
+from qclifford.qops import q_partial
 from qclifford.qfield import ONE, Q, QScalar
 
 
@@ -21,6 +25,50 @@ def x(i, m):
 
 def e(i, m):
     return CliffordPoly.generator(i, m)
+
+
+def mul_oracle(a, b):
+    """The product of two CliffordPolys as the double loop over both
+    operands' terms, summed term by term."""
+    assert a.m == b.m
+    out = CliffordPoly.zero(a.m)
+    for aa, ma in a.terms.items():
+        for ab, mb in b.terms.items():
+            alpha = tuple(u + v for u, v in zip(aa, ab))
+            out = out + CliffordPoly.monomial(a.m, alpha, ma * mb)
+    return out
+
+
+def dirac_oracle(P):
+    """-sum_{i=1..m} e_i d_i^q, on x0/e0 content too."""
+    acc = CliffordPoly.zero(P.m)
+    for i in range(1, P.m + 1):
+        acc = acc - mul_oracle(e(i, P.m), q_partial(P, i))
+    return acc
+
+
+def euler_oracle(P):
+    acc = CliffordPoly.zero(P.m)
+    for i in range(1, P.m + 1):
+        acc = acc + mul_oracle(x(i, P.m), q_partial(P, i))
+    return acc
+
+
+def gamma_oracle(P):
+    m = P.m
+    acc = CliffordPoly.zero(m)
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            inner = mul_oracle(x(i, m), q_partial(P, j)) - mul_oracle(x(j, m), q_partial(P, i))
+            acc = acc - mul_oracle(mul_oracle(e(i, m), e(j, m)), inner)
+    return acc
+
+
+def laplace_oracle(P):
+    acc = CliffordPoly.zero(P.m)
+    for i in range(1, P.m + 1):
+        acc = acc + q_partial(q_partial(P, i), i)
+    return acc
 
 
 def quotient_oracle(P, i):

@@ -127,6 +127,19 @@ class TestFischer:
         assert code == 3
         assert out.splitlines()[-1] == "recomposition: MISMATCH"
 
+    def test_tower_with_a_component_of_the_wrong_degree_exits_3(self, capsys, monkeypatch):
+        from qclifford import fischer as fischer_mod
+
+        # the real tower of the input with its components reversed
+        full = fischer_mod.fischer_full
+        monkeypatch.setattr(fischer_mod, "fischer_full",
+                            lambda P: fischer_mod.FischerTower(full(P).components[::-1]))
+        code, out, err = run(capsys, "fischer", "--m", "2", "--json", "--", "x1^3")
+        assert code == 3
+        assert "Traceback" not in err
+        statuses = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+        assert statuses["orthogonal"] == "false"
+
 
 class TestPowerLimits:
     @pytest.mark.parametrize("expr", ["q^100000000", "(((1+q)^50)^50)^50", "x1^1001",

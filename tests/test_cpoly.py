@@ -21,6 +21,9 @@ from qclifford.qfield import ONE, Q, QScalar, q_bracket
 from qclifford.qops import q_partial
 from qclifford.randpoly import random_poly
 
+from oracles import mul_oracle
+from strategies import polys
+
 
 def x(i, m):
     return CliffordPoly.variable(i, m)
@@ -152,22 +155,6 @@ class TestEvaluatePoly:
             assert evaluate_poly(a + b, pt, q0) == evaluate_poly(a, pt, q0) + evaluate_poly(b, pt, q0)
 
 
-def polys(m):
-    coeffs = st.integers(min_value=-3, max_value=3).map(QScalar)
-    masks = st.integers(min_value=0, max_value=2 ** (m + 1) - 1).filter(lambda v: not v & 1)
-    alphas = st.tuples(*([st.just(0)] + [st.integers(min_value=0, max_value=2)] * m))
-    term = st.tuples(alphas, masks, coeffs)
-    return st.lists(term, max_size=4).map(
-        lambda ts: sum(
-            (
-                CliffordPoly.monomial(m, a, Multivector(m, {mask: c}))
-                for a, mask, c in ts
-            ),
-            CliffordPoly.zero(m),
-        )
-    )
-
-
 class TestRingAxioms:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=1, max_value=3).flatmap(
@@ -237,6 +224,78 @@ class TestCanonicalResults:
             for c in list(mv.terms.values()) + [c / (1 + Q) for c in mv.terms.values()]:
                 assert ONE * c == c
                 assert c * ONE == c
+
+
+def one_term_operands(m):
+    """One-term polynomials: x^beta, e_A, the scalars 1 and c, and
+    c x^beta times a multivector of several blades."""
+    betas = st.tuples(*[st.integers(min_value=0, max_value=2)] * (m + 1))
+    blades = st.integers(min_value=0, max_value=2 ** (m + 1) - 1)
+    coeffs = st.integers(min_value=-3, max_value=3).filter(bool)
+    return st.one_of(
+        betas.map(lambda b: CliffordPoly.monomial(m, b, Multivector.scalar(ONE, m))),
+        blades.map(lambda A: CliffordPoly.from_multivector(Multivector.blade(A, m))),
+        st.just(CliffordPoly.one(m)),
+        coeffs.map(lambda c: CliffordPoly.scalar(c, m)),
+        st.tuples(betas, st.dictionaries(blades, coeffs.map(QScalar), min_size=1, max_size=3))
+        .map(lambda bt: CliffordPoly.monomial(m, bt[0], Multivector(m, bt[1]))),
+    )
+
+
+class TestProductsAgainstOracle:
+    """Products by one term shift the other operand's multi-indices; every
+    product must equal the double loop over both operands' terms."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=4).flatmap(
+        lambda m: st.tuples(polys(m, extended=True), one_term_operands(m))))
+    def test_one_term_on_either_side(self, pair):
+        P, T = pair
+        assert P * T == mul_oracle(P, T)
+        assert T * P == mul_oracle(T, P)
+        assert_canonical(P * T)
+        assert_canonical(T * P)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=4).flatmap(
+        lambda m: st.tuples(polys(m, extended=True), polys(m, extended=True))))
+    def test_general_product(self, pair):
+        a, b = pair
+        assert a * b == mul_oracle(a, b)
+        assert_canonical(a * b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=4).flatmap(
+        lambda m: st.tuples(polys(m, extended=True), st.integers(min_value=0, max_value=2 ** (m + 1) - 1),
+                            st.sampled_from([0, 1, -2, Fraction(1, 3), ONE, Q, 1 / (1 + Q)]))))
+    def test_scalar_and_multivector_operands(self, triple):
+        P, A, c = triple
+        m = P.m
+        mv = Multivector.blade(A, m) + Multivector.scalar(c, m)
+        for cp, raw in ((CliffordPoly.scalar(c, m), c), (CliffordPoly.from_multivector(mv), mv)):
+            assert raw * P == mul_oracle(cp, P)
+            assert P * raw == mul_oracle(P, cp)
+            assert_canonical(raw * P)
+            assert_canonical(P * raw)
+
+    def test_zero_divisor_drops_the_term(self):
+        # (1 + e1e2e3)(1 - e1e2e3) = 0 in Cl(0,3)
+        m = 3
+        u = CliffordPoly.one(m) + e(1, m) * e(2, m) * e(3, m)
+        v = CliffordPoly.one(m) - e(1, m) * e(2, m) * e(3, m)
+        P = x(1, m) * v + x(2, m)
+        assert (u * P).terms.keys() == {(0, 0, 1, 0)}
+        assert u * P == mul_oracle(u, P) == x(2, m) * u
+        assert (P * u).terms.keys() == {(0, 0, 1, 0)}
+        assert P * u == mul_oracle(P, u)
+
+    def test_zero_operands(self):
+        for m in (1, 3):
+            P = x(1, m) * e(m, m) + 2
+            zero = CliffordPoly.zero(m)
+            for product in (P * zero, zero * P, P * 0, 0 * P, P * Multivector.zero(m),
+                            Multivector.zero(m) * P):
+                assert product.is_zero() and product.terms == {}
 
 
 class TestConstructorChecks:

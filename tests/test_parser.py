@@ -6,9 +6,15 @@ from fractions import Fraction
 import pytest
 
 from qclifford.cpoly import CliffordPoly
-from qclifford.errors import DivisionByZero, InvalidArgument, InvalidVariable, ParseError
+from qclifford.errors import (
+    AlgebraMismatch,
+    DivisionByZero,
+    InvalidArgument,
+    InvalidVariable,
+    ParseError,
+)
 from qclifford.jackson import UniPoly
-from qclifford.parser import parse, parse_poly, parse_unipoly
+from qclifford.parser import lower, parse, parse_poly, parse_unipoly
 from qclifford.qfield import ONE, Q, QScalar
 from qclifford.randpoly import random_poly
 
@@ -97,6 +103,13 @@ class TestLowering:
 
     def test_negative_power_of_generator(self):
         assert parse_poly("e1^2", 2) == CliffordPoly.scalar(-1, 2)
+
+    def test_lower_checks_its_dimension(self):
+        assert lower(parse("x1", 2), 2) == x(1, 2)
+        assert lower(parse("x1 + 2*e2^3", 3), 3) == parse_poly("x1 - 2*e2", 3)
+        for text in ("x1", "q", "3", "x1 + e2", "-(x1*x2)^2"):
+            with pytest.raises(AlgebraMismatch):
+                lower(parse(text, 2), 3)
 
 
 ROUND_TRIP_CORPUS = [

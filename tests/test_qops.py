@@ -5,15 +5,18 @@ import zlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qclifford.clifford import Multivector
-from qclifford.cpoly import CliffordPoly, evaluate_poly, vector_variable
+from qclifford.cpoly import CliffordPoly, evaluate_poly, norm_squared, vector_variable
 from qclifford.errors import InvalidArgument, UsesExtendedAlgebra
 from qclifford.qfield import Q, QScalar, q_bracket
 from qclifford.qops import (
     PARTIAL_RELATIONS,
     RELATION_NAMES,
     SYMMETRY_RELATIONS,
+    _dirac_vector_part,
     check_relation,
     is_monogenic,
     q_dirac,
@@ -32,8 +35,13 @@ from oracles import (
     classical_gamma,
     classical_laplace,
     classical_partial,
+    dirac_oracle,
+    euler_oracle,
+    gamma_oracle,
+    laplace_oracle,
     quotient_oracle,
 )
+from strategies import polys
 
 
 def x(i, m):
@@ -99,6 +107,83 @@ class TestQDirac:
         for P in (x(0, m) * x(1, m), e(0, m) * e(1, m)):
             with pytest.raises(UsesExtendedAlgebra):
                 q_dirac(P)
+
+
+class TestTermMapsAgainstOracles:
+    """The operators are one pass over the terms; each must equal its
+    operator sum composed from q_partial and the double-loop product."""
+
+    PAIRS = [(q_dirac, dirac_oracle), (q_euler, euler_oracle),
+             (q_gamma, gamma_oracle), (q_laplace, laplace_oracle)]
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(min_value=1, max_value=4).flatmap(polys))
+    def test_random_polynomials(self, P):
+        for op, oracle in self.PAIRS:
+            assert op(P) == oracle(P), op.__name__
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(min_value=1, max_value=4).flatmap(lambda m: polys(m, extended=True)))
+    def test_extended_content(self, P):
+        # the CK extension applies the vector part to x0/e0 content
+        assert _dirac_vector_part(P) == dirac_oracle(P)
+        for op, oracle in self.PAIRS[1:]:
+            assert op(P) == oracle(P), op.__name__
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_zero_and_constants(self, m):
+        for P in (CliffordPoly.zero(m), CliffordPoly.scalar(3, m), e(m, m), 2 * e(0, m)):
+            assert _dirac_vector_part(P).terms == {}
+            for op, oracle in self.PAIRS[1:]:
+                assert op(P).terms == {} and oracle(P).is_zero()
+
+    def test_cancelling_sums(self):
+        m = 3
+        x0 = x(0, m)
+        cases = [
+            # D: -e1 e2 - e2 e1 = 0, also with an x0 factor (the CK path)
+            (_dirac_vector_part, x(1, m) * e(2, m) + x(2, m) * e(1, m)),
+            (_dirac_vector_part, x0 * (x(1, m) * e(2, m) + x(2, m) * e(1, m))),
+            (_dirac_vector_part, x0 * (x(1, m) * e(2, m) + x(2, m) * e(1, m)) + x(3, m)),
+            (q_dirac, x(1, m) * e(2, m) + x(2, m) * e(1, m) + x(3, m) * x(1, m)),
+            # Gamma annihilates |x|^2; Laplace annihilates x1^2 - x2^2
+            (q_gamma, x(1, m) ** 2 + x(2, m) ** 2 + x(3, m) ** 2),
+            (q_gamma, x(1, m) ** 2 + x(2, m) ** 2 + x(3, m) * e(1, m)),
+            (q_laplace, x(1, m) ** 2 - x(2, m) ** 2),
+            (q_laplace, x(1, m) ** 2 * x(3, m) - x(2, m) ** 2 * x(3, m) + x(1, m) ** 2),
+        ]
+        oracles = {_dirac_vector_part: dirac_oracle, q_dirac: dirac_oracle,
+                   q_gamma: gamma_oracle, q_laplace: laplace_oracle}
+        for op, P in cases:
+            assert op(P) == oracles[op](P), (op.__name__, str(P))
+        for op, P in cases[:2] + cases[4:5] + cases[6:7]:
+            assert op(P).terms == {}
+
+
+class TestCachedConstantsArePrivate:
+    """The operators share one copy of x_i, e_i, the vector variable and
+    |x|^2 per (i, m); what the public constructors return is the caller's."""
+
+    def test_mutated_constants_change_nothing(self):
+        m = 3
+        P, G = random_poly(random.Random(41), m, 3), random_poly(random.Random(43), m, 2)
+        for name in RELATION_NAMES:
+            assert check_relation(name, P, G).is_zero(), name
+        makers = [lambda: vector_variable(m), lambda: norm_squared(m)]
+        makers += [lambda i=i: CliffordPoly.variable(i, m) for i in range(m + 1)]
+        makers += [lambda i=i: CliffordPoly.generator(i, m) for i in range(m + 1)]
+        for make in makers:
+            expected = str(make())
+            value = make()
+            for mv in value.terms.values():
+                mv.terms.clear()
+            value.terms.clear()
+            value.terms[(0, 1, 1, 1)] = Multivector.scalar(7, m)
+            assert str(make()) == expected
+        assert str(vector_variable(m)) == "x1*e1 + x2*e2 + x3*e3"
+        assert str(norm_squared(m)) == "x1^2 + x2^2 + x3^2"
+        for name in RELATION_NAMES:
+            assert check_relation(name, P, G).is_zero(), name
 
 
 class TestQEuler:
