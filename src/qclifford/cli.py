@@ -328,11 +328,10 @@ def build_parser():
     )
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def common(p, expr=True):
+    def common(p):
         p.add_argument("--m", type=_int_in(1, 8), default=2, help="dimension, 1..8 (default 2)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        if expr:
-            p.add_argument("expr", help="expression, e.g. 'x1^2*x2*e1'")
+        p.add_argument("expr", help="expression, e.g. 'x1^2*x2*e1'")
 
     for verb in ("dirac", "euler", "gamma", "laplace"):
         p = sub.add_parser(verb, help="apply the q-%s operator" % verb.capitalize())

@@ -12,10 +12,8 @@ give valid results.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import AlgebraMismatch, InvalidArgument, InvalidVariable
-from .qfield import ONE, ZERO, QPoly, QScalar
+from .qfield import ONE, ZERO, QPoly, QScalar, _as_qscalar
 
 
 def reorder_swaps(a, b):
@@ -171,26 +169,24 @@ class Multivector:
                     else:
                         out[mask] = c
             return _multivector(self.m, out)
-        if isinstance(other, (QScalar, int, Fraction)):
-            return self._scaled(other)
-        return NotImplemented
+        s = _as_qscalar(other)
+        if s is None:
+            return NotImplemented
+        return self._scaled(s)
 
-    def __rmul__(self, other):
-        # scalars are central, so left and right scaling agree
-        if isinstance(other, (QScalar, int, Fraction)):
-            return self._scaled(other)
-        return NotImplemented
+    # only a scalar reaches __rmul__ (a Multivector or CliffordPoly on the
+    # left multiplies first), and scalars are central
+    __rmul__ = __mul__
 
     def _scaled(self, s):
-        if not isinstance(s, QScalar):
-            s = QScalar(QPoly((s,)))
         return _multivector(self.m, {mask: c * s for mask, c in self.terms.items()})
 
     def __eq__(self, other):
-        if isinstance(other, (QScalar, int, Fraction)):
-            other = Multivector.scalar(other, self.m)
         if not isinstance(other, Multivector):
-            return NotImplemented
+            s = _as_qscalar(other)
+            if s is None:
+                return NotImplemented
+            other = Multivector.scalar(s, self.m)
         return self.m == other.m and self.terms == other.terms
 
     def __str__(self):

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .clifford import Multivector
 from .errors import AlgebraMismatch, InvalidArgument, InvalidVariable
-from .qfield import ONE, Q, QPoly, QScalar
+from .qfield import ONE, Q, _as_qscalar, _binary_power
 
 
 def _zero_alpha(m):
@@ -166,8 +167,9 @@ class CliffordPoly:
         return _cliffordpoly(self.m, {a: -mv for a, mv in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (QScalar, int, Fraction)):
-            return self._scaled(other)
+        s = _as_qscalar(other)
+        if s is not None:
+            return self._scaled(s)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -190,8 +192,9 @@ class CliffordPoly:
     def __rmul__(self, other):
         # called for scalar * poly and Multivector * poly; scalars are
         # central but a Multivector must multiply from the left
-        if isinstance(other, (QScalar, int, Fraction)):
-            return self._scaled(other)
+        s = _as_qscalar(other)
+        if s is not None:
+            return self._scaled(s)
         if isinstance(other, Multivector):
             self._compat(other)
             return _times_term(self, _zero_alpha(self.m), other, True)
@@ -200,8 +203,6 @@ class CliffordPoly:
     def _scaled(self, s):
         """P times a central scalar: one pass over the coefficients, none
     for the scalar 1, which keeps P's Multivectors."""
-        if not isinstance(s, QScalar):
-            s = QScalar(QPoly((s,)))
         if s.is_one():
             return _cliffordpoly(self.m, self.terms)
         return _cliffordpoly(self.m, {a: mv * s for a, mv in self.terms.items()})
@@ -209,29 +210,19 @@ class CliffordPoly:
     def __pow__(self, n):
         if n < 0:
             raise InvalidArgument("negative power of a polynomial")
-        result = CliffordPoly.one(self.m)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _binary_power(self, n, CliffordPoly.one(self.m), mul)
 
     def _coerce(self, other):
         if isinstance(other, CliffordPoly):
             return other
         if isinstance(other, Multivector):
             return CliffordPoly.from_multivector(other)
-        if isinstance(other, (QScalar, int, Fraction)):
-            return CliffordPoly.scalar(other, self.m)
-        return None
+        s = _as_qscalar(other)
+        return None if s is None else CliffordPoly.scalar(s, self.m)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QScalar, Multivector)):
-            other = self._coerce(other)
-        if not isinstance(other, CliffordPoly):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self.m == other.m and self.terms == other.terms
 
@@ -333,9 +324,6 @@ def evaluate_poly(P, point, q0):
                 factor *= v**e
         if not factor:
             continue
-        evaluated = {
-            mask: QScalar(QPoly((c.evaluate(q0) * factor,)))
-            for mask, c in mv.terms.items()
-        }
+        evaluated = {mask: c.evaluate(q0) * factor for mask, c in mv.terms.items()}
         acc = acc + Multivector(P.m, evaluated)
     return acc

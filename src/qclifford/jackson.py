@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .cpoly import CliffordPoly, evaluate_poly
 from .errors import InvalidArgument, InvalidParameter
-from .qfield import ONE, ZERO, QPoly, QScalar, q_bracket, q_factorial
+from .qfield import ONE, ZERO, q_bracket, q_factorial
 from .qops import q_partial
 
 
@@ -69,7 +69,7 @@ def q_integral(f, a, b):
     for (_, k), mv in f.terms.items():
         weight = b ** (k + 1) - a ** (k + 1)
         if weight:
-            acc = acc + mv.scalar_part() * QScalar(QPoly((weight,))) / q_bracket(k + 1)
+            acc = acc + mv.scalar_part() * weight / q_bracket(k + 1)
     return acc
 
 

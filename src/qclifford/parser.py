@@ -28,7 +28,7 @@ from __future__ import annotations
 from .cpoly import CliffordPoly
 from .errors import AlgebraMismatch, DivisionByZero, InvalidArgument, InvalidVariable, ParseError
 from .jackson import _unipoly
-from .qfield import Q, QScalar
+from .qfield import Q, QScalar, _binary_power
 
 
 #: nesting limit for parentheses and unary minus; each level costs a few
@@ -207,17 +207,6 @@ def _product(left, right):
     return left * right
 
 
-def _power(P, n):
-    result = CliffordPoly.one(P.m)
-    while n:
-        if n & 1:
-            result = _product(result, P)
-        n >>= 1
-        if n:
-            P = _product(P, P)
-    return result
-
-
 def _binop(op, left, right):
     if op == "+":
         return left + right
@@ -249,7 +238,7 @@ def lower(expr, m, scale=1):
         if scale * n > MAX_EXPONENT:
             raise InvalidArgument("nested exponents multiply to %d, over the limit of %d"
                                   % (scale * n, MAX_EXPONENT))
-        return _power(lower(base, m, scale * n), n)
+        return _binary_power(lower(base, m, scale * n), n, CliffordPoly.one(m), _product)
     # a chain like a + b + c nests to the left as deep as it is long,
     # so walk that spine in a loop
     spine = []

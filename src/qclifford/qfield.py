@@ -12,7 +12,9 @@ cross-cancelling add and multiply: Knuth, TAOCP vol. 2, 4.5.1).  Every
 cancellation is one call of the heuristic gcd `_polyarith.gcd`, whose
 cofactors are the reduced operands, so no gcd is divided out twice.
 The q-combinatorial quantities [u]_q, [k]_q! and the Gaussian binomials
-live here as well.  Every coefficient elsewhere in the package is a QScalar.
+live here as well.  Every coefficient elsewhere in the package is a QScalar;
+`_as_qscalar` alone decides which arithmetic operands are scalars (QScalar,
+int, Fraction), and `_binary_power` is the one repeated squaring.
 
 q is treated as a formal parameter: identities are exact in Q(q) and
 numeric evaluation rejects poles instead of taking limits.
@@ -23,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from . import _polyarith as pa
 from .errors import DivisionByZero, InvalidArgument, PoleAtEvaluationPoint
@@ -178,7 +181,8 @@ class QScalar:
     product cancels gcd(num_a, den_b) and gcd(num_b, den_a)
     and rescales the denominator to monic; a sum over coprime denominators
     is already reduced, and otherwise only gcd(t, gcd(den_a, den_b)) can
-    cancel from its numerator t; a quotient is a product by the inverse.
+    cancel from its numerator t; a difference adds the negated numerator,
+    and a quotient is a product by the inverse.
 
     >>> QScalar(QPoly([-1, 0, 1]), QPoly([-1, 1]))    # (q^2-1)/(q-1)
     1 + q
@@ -216,45 +220,11 @@ class QScalar:
 
     # -- arithmetic ----------------------------------------------------
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, QScalar):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QScalar(QPoly((x,)))
-        if isinstance(x, QPoly):
-            return QScalar(x)
-        return None
-
     def __add__(self, other):
-        other = self._coerce(other)
+        other = _as_qscalar(other)
         if other is None:
             return NotImplemented
-        na, da, nb, db = self.num, self.den, other.num, other.den
-        if da.is_one():
-            if db.is_one():
-                return _canonical(na + nb, _ONE_POLY)
-            return _canonical(na * db + nb, db)
-        if db.is_one():
-            return _canonical(nb * da + na, da)
-        if da == db:
-            t = na + nb
-            if not t:
-                return ZERO
-            g, t_g, da_g = pa.gcd(t.ints, da.ints)
-            if len(g) == 1:
-                return _canonical(t, da)
-            return _canonical(*_monic(t_g, t.d, da_g, da.d))
-        g, da_g_int, db_g_int = pa.gcd(da.ints, db.ints)
-        if len(g) == 1:
-            return _canonical(na * db + nb * da, da * db)
-        # Henrici: only a factor of g can cancel from the sum
-        db_g = _qpoly(db_g_int, db.d)
-        t = na * db_g + nb * _qpoly(da_g_int, da.d)
-        h, t_int, g_h = pa.gcd(t.ints, g)
-        # da / h = (g / h) * (da / g)
-        da_int = da.ints if len(h) == 1 else pa.mul(g_h, da_g_int)
-        return _canonical(*_monic(t_int, t.d, pa.mul(da_int, db_g.ints), da.d * db_g.d))
+        return _add(self.num, self.den, other.num, other.den)
 
     __radd__ = __add__
 
@@ -262,19 +232,19 @@ class QScalar:
         return _canonical(-self.num, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = _as_qscalar(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _add(self.num, self.den, -other.num, other.den)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = _as_qscalar(other)
         if other is None:
             return NotImplemented
-        return other - self
+        return _add(other.num, other.den, -self.num, self.den)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = _as_qscalar(other)
         if other is None:
             return NotImplemented
         if self.is_one():
@@ -304,13 +274,13 @@ class QScalar:
         return _canonical(*_monic(den.ints, den.d, num.ints, num.d))
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = _as_qscalar(other)
         if other is None:
             return NotImplemented
         return self * other._inverse()
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
+        other = _as_qscalar(other)
         if other is None:
             return NotImplemented
         return other / self
@@ -320,18 +290,10 @@ class QScalar:
             if self.is_zero():
                 raise DivisionByZero("negative power of zero in Q(q)")
             return self._inverse() ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _binary_power(self, n, ONE, mul)
 
     def __eq__(self, other):
-        other = self._coerce(other)
+        other = _as_qscalar(other)
         if other is None:
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -374,6 +336,57 @@ class QScalar:
         return "%s/%s" % (num_s, den_s)
 
     __repr__ = __str__
+
+
+def _as_qscalar(x):
+    """The QScalar an arithmetic operand stands for: x itself, or the
+    constant x for an int or Fraction; None for any other operand."""
+    if isinstance(x, QScalar):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return QScalar(QPoly((x,)))
+    return None
+
+
+def _add(na, da, nb, db):
+    """The QScalar na/da + nb/db for canonical pairs na/da and nb/db."""
+    if da.is_one():
+        if db.is_one():
+            return _canonical(na + nb, _ONE_POLY)
+        return _canonical(na * db + nb, db)
+    if db.is_one():
+        return _canonical(nb * da + na, da)
+    if da == db:
+        t = na + nb
+        if not t:
+            return ZERO
+        g, t_g, da_g = pa.gcd(t.ints, da.ints)
+        if len(g) == 1:
+            return _canonical(t, da)
+        return _canonical(*_monic(t_g, t.d, da_g, da.d))
+    g, da_g_int, db_g_int = pa.gcd(da.ints, db.ints)
+    if len(g) == 1:
+        return _canonical(na * db + nb * da, da * db)
+    # Henrici: only a factor of g can cancel from the sum
+    db_g = _qpoly(db_g_int, db.d)
+    t = na * db_g + nb * _qpoly(da_g_int, da.d)
+    h, t_int, g_h = pa.gcd(t.ints, g)
+    # da / h = (g / h) * (da / g)
+    da_int = da.ints if len(h) == 1 else pa.mul(g_h, da_g_int)
+    return _canonical(*_monic(t_int, t.d, pa.mul(da_int, db_g.ints), da.d * db_g.d))
+
+
+def _binary_power(base, n, unit, mul):
+    """base^n for n >= 0 by repeated squaring (Knuth, TAOCP vol. 2, 4.6.3):
+    from `unit`, one `mul` per set bit of n and one squaring per further bit."""
+    result = unit
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return result
 
 
 def _monic(n_int, n_d, d_int, d_d):

@@ -154,14 +154,6 @@ def _relation(name, *aliases):
     return register
 
 
-def _x(P, i):
-    return _variable(i, P.m)
-
-
-def _e(P, i):
-    return _generator(i, P.m)
-
-
 _Q2 = Q * Q
 _TWO = q_bracket(2)
 
@@ -169,7 +161,7 @@ _TWO = q_bracket(2)
 @_relation("weyl", "weyl_i")
 def _weyl(P, _):
     for i in range(1, P.m + 1):
-        yield q_partial(_x(P, i) * P, i) - Q * _x(P, i) * q_partial(P, i) - P
+        yield q_partial(_variable(i, P.m) * P, i) - Q * _variable(i, P.m) * q_partial(P, i) - P
 
 
 @_relation("partial_var_commute", "partial_var_commute_ij")
@@ -177,7 +169,7 @@ def _partial_var_commute(P, _):
     for i in range(1, P.m + 1):
         for j in range(1, P.m + 1):
             if i != j:
-                yield q_partial(_x(P, i) * P, j) - _x(P, i) * q_partial(P, j)
+                yield q_partial(_variable(i, P.m) * P, j) - _variable(i, P.m) * q_partial(P, j)
 
 
 @_relation("partial_commute", "partial_commute_ij")
@@ -190,7 +182,7 @@ def _partial_commute(P, _):
 @_relation("partial_xsq")
 def _partial_xsq(P, _):
     for i in range(1, P.m + 1):
-        xi = _x(P, i)
+        xi = _variable(i, P.m)
         yield q_partial(xi * xi * P, i) - _Q2 * xi * xi * q_partial(P, i) - _TWO * xi * P
 
 
@@ -198,7 +190,7 @@ def _partial_xsq(P, _):
 def _partial_sq_x(P, _):
     # second factor on the right is x_i (degree count), not x_i^2
     for i in range(1, P.m + 1):
-        xi = _x(P, i)
+        xi = _variable(i, P.m)
         d2 = q_partial(q_partial(P, i), i)
         yield q_partial(q_partial(xi * P, i), i) - _Q2 * xi * d2 - _TWO * q_partial(P, i)
 
@@ -207,7 +199,7 @@ def _partial_sq_x(P, _):
 def _partial_sq_xsq(P, _):
     # cross coefficient is (q^2 + q)[2]_q
     for i in range(1, P.m + 1):
-        xi = _x(P, i)
+        xi = _variable(i, P.m)
         d2 = q_partial(q_partial(P, i), i)
         yield (
             q_partial(q_partial(xi * xi * P, i), i)
@@ -239,7 +231,7 @@ def _comm_euler_x(P, _):
     xv = _vector_variable(P.m)
     s = CliffordPoly.zero(P.m)
     for i in range(1, P.m + 1):
-        s = s + _x(P, i) ** 2 * (_e(P, i) * q_partial(P, i))
+        s = s + _variable(i, P.m) ** 2 * (_generator(i, P.m) * q_partial(P, i))
     yield q_euler(xv * P) - xv * q_euler(P) - xv * P - (Q - 1) * s
 
 
@@ -248,7 +240,7 @@ def _comm_euler_dirac(P, _):
     # [E, D] = -D + (q-1) sum x_i e_i d_i^2
     s = CliffordPoly.zero(P.m)
     for i in range(1, P.m + 1):
-        s = s + _x(P, i) * (_e(P, i) * q_partial(q_partial(P, i), i))
+        s = s + _variable(i, P.m) * (_generator(i, P.m) * q_partial(q_partial(P, i), i))
     yield q_euler(q_dirac(P)) - q_dirac(q_euler(P)) + q_dirac(P) - (Q - 1) * s
 
 
@@ -259,7 +251,7 @@ def _comm_normsq_dirac(P, _):
     xv = _vector_variable(P.m)
     s = CliffordPoly.zero(P.m)
     for i in range(1, P.m + 1):
-        s = s + _x(P, i) ** 2 * (_e(P, i) * q_partial(P, i))
+        s = s + _variable(i, P.m) ** 2 * (_generator(i, P.m) * q_partial(P, i))
     yield nsq * q_dirac(P) - q_dirac(nsq * P) - _TWO * xv * P - (_Q2 - 1) * s
 
 
@@ -268,7 +260,7 @@ def _comm_euler_normsq(P, _):
     nsq = _norm_squared(P.m)
     s = CliffordPoly.zero(P.m)
     for i in range(1, P.m + 1):
-        s = s + _x(P, i) ** 3 * q_partial(P, i)
+        s = s + _variable(i, P.m) ** 3 * q_partial(P, i)
     yield q_euler(nsq * P) - nsq * q_euler(P) - _TWO * nsq * P - (_Q2 - 1) * s
 
 
@@ -277,7 +269,7 @@ def _comm_laplace_x(P, _):
     xv = _vector_variable(P.m)
     s = CliffordPoly.zero(P.m)
     for i in range(1, P.m + 1):
-        s = s + _x(P, i) * (_e(P, i) * q_partial(q_partial(P, i), i))
+        s = s + _variable(i, P.m) * (_generator(i, P.m) * q_partial(q_partial(P, i), i))
     yield q_laplace(xv * P) - xv * q_laplace(P) - (_Q2 - 1) * s + _TWO * q_dirac(P)
 
 
@@ -285,7 +277,7 @@ def _comm_laplace_x(P, _):
 def _comm_euler_laplace(P, _):
     s = CliffordPoly.zero(P.m)
     for i in range(1, P.m + 1):
-        s = s + _x(P, i) * q_partial(q_partial(q_partial(P, i), i), i)
+        s = s + _variable(i, P.m) * q_partial(q_partial(q_partial(P, i), i), i)
     yield (
         q_euler(q_laplace(P))
         - q_laplace(q_euler(P))
@@ -300,7 +292,7 @@ def _comm_laplace_normsq(P, _):
     nsq = _norm_squared(P.m)
     s = CliffordPoly.zero(P.m)
     for i in range(1, P.m + 1):
-        s = s + _x(P, i) ** 2 * q_partial(q_partial(P, i), i)
+        s = s + _variable(i, P.m) ** 2 * q_partial(q_partial(P, i), i)
     yield (
         q_laplace(nsq * P)
         - nsq * q_laplace(P)
@@ -342,7 +334,7 @@ def _axiom_a2(P, _):
     for i in range(1, P.m + 1):
         for j in range(1, P.m + 1):
             if j != i:
-                s = s + _x(P, j) ** 2 * (_e(P, i) * q_partial(P, i))
+                s = s + _variable(j, P.m) ** 2 * (_generator(i, P.m) * q_partial(P, i))
     yield (
         q_dirac(xsq * P)
         - _Q2 * xsq * q_dirac(P)
@@ -359,7 +351,7 @@ def _dirac_x2f_form1(P, _):
     xsq = xv * xv
     s = CliffordPoly.zero(P.m)
     for i in range(1, P.m + 1):
-        s = s + _e(P, i) * (_x(P, i) * q_shift(P, i))
+        s = s + _generator(i, P.m) * (_variable(i, P.m) * q_shift(P, i))
     yield q_dirac(xsq * P) - _TWO * s - xsq * q_dirac(P)
 
 
@@ -370,7 +362,7 @@ def _dirac_x2f_form2(P, _):
     nsq = _norm_squared(P.m)
     s = CliffordPoly.zero(P.m)
     for i in range(1, P.m + 1):
-        s = s + _e(P, i) * (q_shift(nsq, i) * q_partial(P, i))
+        s = s + _generator(i, P.m) * (q_shift(nsq, i) * q_partial(P, i))
     yield q_dirac(xsq * P) - s - _TWO * xv * P
 
 

@@ -12,17 +12,15 @@ from .cpoly import CliffordPoly
 from .qfield import QPoly, QScalar
 
 
-def random_scalar(rng, allow_q=True):
+def random_scalar(rng):
     c = rng.choice([-3, -2, -1, 1, 2, 3])
-    e = rng.choice([0, 0, 1, 2]) if allow_q else 0
+    e = rng.choice([0, 0, 1, 2])
     return QScalar(QPoly((0,) * e + (c,)))
 
 
-def random_multivector(rng, m, max_grade=None, uses_e0=False):
+def random_multivector(rng, m, uses_e0=False):
     top = 2 ** (m + 1)
     masks = [x for x in range(top) if uses_e0 or not x & 1]
-    if max_grade is not None:
-        masks = [x for x in masks if x.bit_count() <= max_grade]
     terms = {}
     for _ in range(rng.randint(1, 2)):
         terms[rng.choice(masks)] = random_scalar(rng)

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from qclifford.cpoly import (
     vector_variable,
 )
 from qclifford.errors import AlgebraMismatch, InvalidArgument, InvalidVariable
-from qclifford.qfield import ONE, Q, QScalar, q_bracket
+from qclifford.qfield import ONE, Q, QPoly, QScalar, q_bracket
 from qclifford.qops import q_partial
 from qclifford.randpoly import random_poly
 
@@ -172,6 +174,41 @@ class TestRingAxioms:
         a, b = pair
         assert a + b == b + a
         assert a - b + b == a
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=3).flatmap(polys))
+    def test_power_is_repeated_product(self, P):
+        for n in range(6):
+            assert P**n == reduce(mul, [P] * n, CliffordPoly.one(P.m))
+
+
+class TestScalarOperands:
+    # one scalar, 3, spelled three ways, and q + e1*e2 and x1*e1 + q*x2 in
+    # m = 2 with their threefold built through the validating constructors
+    SPELLINGS = (3, Fraction(3), QScalar(3))
+    MV = Multivector(2, {0: Q, 0b110: ONE})
+    MV3 = Multivector(2, {0: QScalar(QPoly([0, 3])), 0b110: 3})
+    P = CliffordPoly(2, {(0, 1, 0): Multivector(2, {0b10: ONE}), (0, 0, 1): Multivector(2, {0: Q})})
+    P3 = CliffordPoly(2, {(0, 1, 0): Multivector(2, {0b10: 3}),
+                          (0, 0, 1): Multivector(2, {0: QScalar(QPoly([0, 3]))})})
+
+    @pytest.mark.parametrize("s", SPELLINGS, ids=["int", "Fraction", "QScalar"])
+    def test_spellings_agree(self, s):
+        assert self.MV * s == s * self.MV == self.MV3
+        assert self.P * s == s * self.P == self.P3
+        for value in (QScalar(3), Multivector.scalar(3, 2), CliffordPoly.scalar(3, 2)):
+            assert value == s and s == value
+            assert value != s + 1 and s + 1 != value
+
+    @pytest.mark.parametrize("other", [1.5, "3", None, QPoly([3])],
+                             ids=["float", "str", "None", "QPoly"])
+    def test_other_operands_are_refused(self, other):
+        for left in (QScalar(3), self.MV, self.P, Multivector.scalar(3, 2),
+                     CliffordPoly.scalar(3, 2)):
+            with pytest.raises(TypeError):
+                left * other
+            assert (left == other) is False
+            assert (left != other) is True
 
 
 def assert_canonical(value):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qclifford.cpoly import CliffordPoly
 from qclifford.errors import (
@@ -17,6 +19,8 @@ from qclifford.jackson import UniPoly
 from qclifford.parser import lower, parse, parse_poly, parse_unipoly
 from qclifford.qfield import ONE, Q, QScalar
 from qclifford.randpoly import random_poly
+
+from strategies import polys
 
 
 def x(i, m):
@@ -103,6 +107,12 @@ class TestLowering:
 
     def test_negative_power_of_generator(self):
         assert parse_poly("e1^2", 2) == CliffordPoly.scalar(-1, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=3).flatmap(polys))
+    def test_parsed_power_is_power(self, P):
+        for n in range(6):
+            assert parse_poly("(%s)^%d" % (P, n), P.m) == parse_poly(str(P), P.m) ** n
 
     def test_lower_checks_its_dimension(self):
         assert lower(parse("x1", 2), 2) == x(1, 2)

@@ -1,8 +1,10 @@
 """Q(q) field arithmetic and q-combinatorics."""
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -83,6 +85,17 @@ class TestCanonicalForm:
         assert Fraction(7, 1) in {QScalar(7): None}
         assert QScalar(Fraction(7, 1)) in {7: None}
         assert Q not in {0: None, 1: None}
+
+    def test_qpoly_is_not_a_scalar_operand(self):
+        # a QPoly hashes apart from the equal-valued QScalar, so the two
+        # may not compare equal
+        one = QPoly([1])
+        assert QScalar(1) != one and one != QScalar(1)
+        assert len({one, QScalar(1)}) == 2
+        with pytest.raises(TypeError):
+            QScalar(1) + one
+        with pytest.raises(TypeError):
+            QScalar(1) * one
 
     def test_str(self):
         assert str(poly(1, 1, 1) / poly(0, 0, 1)) == "(1 + q + q^2)/q^2"
@@ -221,6 +234,21 @@ class TestFieldAxioms:
         assert a.den.leading() == 1 or a.is_zero() and a.den.is_one()
         if a.is_zero():
             assert a.den.is_one()
+
+
+class TestPowers:
+    @settings(max_examples=60, deadline=None)
+    @given(qscalars)
+    def test_power_is_repeated_product(self, x):
+        for n in range(6):
+            assert x**n == reduce(mul, [x] * n, ONE)
+
+    @settings(max_examples=60, deadline=None)
+    @given(qscalars.filter(bool))
+    def test_negative_power_is_power_of_inverse(self, x):
+        inverse = ONE / x
+        for n in range(6):
+            assert x**-n == inverse**n == reduce(mul, [inverse] * n, ONE)
 
 
 small_rationals = st.builds(
