@@ -2,10 +2,11 @@
 
 Polynomials are plain lists of ints, lowest degree first, no trailing
 zeros; the zero polynomial is the empty list.  Shared by the Q(q)
-canonicalization and the fraction-free solver.  `gcd` is the heuristic
-gcd GCDHEU: one integer gcd of two values, read back as a polynomial, and
-it returns the cofactors it proves it with, so a caller never divides by
-the gcd a second time.
+canonicalization and, through `_value` and `_digits`, the fraction-free
+solver, which runs at one point.  `gcd` is the heuristic gcd GCDHEU: one
+integer gcd of two values, read back as a polynomial, and it returns the
+cofactors it proves it with, so a caller never divides by the gcd a
+second time.
 """
 
 from __future__ import annotations

@@ -38,8 +38,9 @@ MAX_ORDER = 64
 #: limit on n^2 * k for a degree-k `fischer` input over m variables, n =
 #: C(k+m-2, m-1) being the class-0 block its solver inverts; n alone does
 #: not bound the cost, since the block's q-degrees grow with k ((m, k) =
-#: (2, 21), n = 21, ran over 150 s).  The slowest accepted towers, at
-#: (2, 14), take 6-12 s on a 2-vCPU VM with CPython 3.11
+#: (2, 21), n = 21, ran over 150 s with elimination over Z[q]).
+#: The slowest accepted towers measured, at (2, 14), take 2.5-4.4 s on a
+#: 2-vCPU VM with CPython 3.11
 MAX_FISCHER_WORK = 3000
 
 #: limit on r * k^3 for a degree-k `ck` input over m variables, where

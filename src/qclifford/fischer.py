@@ -11,8 +11,11 @@ g xor B, so every class block is a signed copy of the class-0 block of
 size C(k+m-2, m-1).  That block is the only one built: it is inverted
 once per (m, k) by fraction-free Gauss-Jordan elimination and cached, and
 each split solves every class of its right-hand side with that one
-inverse.  `monogenic_dimension` ranks the class-0 block of q_dirac once
-and counts it 2^m times.
+inverse.  The elimination runs on integers, the block evaluated at
+q = 2^w with w wide enough that every minor's coefficients stay below
+2^w / 4, and reads the inverse back as base-2^w digits (see _linalg).
+`monogenic_dimension` ranks the class-0 block of q_dirac once, the same
+way, and counts it 2^m times.
 """
 
 from __future__ import annotations
@@ -193,6 +196,11 @@ class _StepSolver:
     and the class-B block is S block_0 S with S = diag(s).  `solve` signs
     each class of its right-hand side into class-0 coordinates, applies
     the one inverse and signs the result back.
+
+    The inverse det * block_0^(-1) is built by `invert_ff` at the one
+    point q = 2^w, w from the block's coefficient norms, which makes every
+    minor's value readable back as its polynomial; it is kept dense, with
+    QScalar entries, so `solve` does no polynomial work of its own.
     """
 
     def __init__(self, m, k):

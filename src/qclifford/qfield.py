@@ -93,18 +93,36 @@ class QPoly:
         p.d = self.d
         return p
 
+    # the operators read other's pair inside a try: an operand without one
+    # is not a QPoly, and the check costs nothing when it is
     def __add__(self, other):
-        a, b = self.d, other.d
+        try:
+            ints, b = other.ints, other.d
+        except AttributeError:
+            return NotImplemented
+        a = self.d
         if a == b:
-            return _qpoly(pa.add(self.ints, other.ints), a)
+            return _qpoly(pa.add(self.ints, ints), a)
         d = lcm(a, b)
-        return _qpoly(pa.add(pa.mul_int(self.ints, d // a), pa.mul_int(other.ints, d // b)), d)
+        return _qpoly(pa.add(pa.mul_int(self.ints, d // a), pa.mul_int(ints, d // b)), d)
 
     def __sub__(self, other):
-        return self + (-other)
+        try:
+            ints, b = other.ints, other.d
+        except AttributeError:
+            return NotImplemented
+        a = self.d
+        if a == b:
+            return _qpoly(pa.sub(self.ints, ints), a)
+        d = lcm(a, b)
+        return _qpoly(pa.sub(pa.mul_int(self.ints, d // a), pa.mul_int(ints, d // b)), d)
 
     def __mul__(self, other):
-        return _qpoly(pa.mul(self.ints, other.ints), self.d * other.d)
+        try:
+            ints, d = other.ints, other.d
+        except AttributeError:
+            return NotImplemented
+        return _qpoly(pa.mul(self.ints, ints), self.d * d)
 
     def times_q_power(self, k):
         if not self.ints:

@@ -8,7 +8,9 @@ as all of its 2^m grading-class blocks instead of the library's one
 class-0 block, so agreement with the package is a genuine cross-check.
 The q-operators are composed here as the operator sums they are defined
 by, from q_partial and the general double-loop product, against the
-library's one-pass term maps and one-term products.
+library's one-pass term maps and one-term products.  The fraction-free
+elimination runs here on Z[q] polynomial lists, against the library's
+elimination on integer values at one point q = 2^w.
 """
 
 from qclifford import _polyarith as pa
@@ -189,3 +191,73 @@ def graded_blocks(op, m, src, dst):
                     block[row_of[(beta, bmask)]][j] = _int_poly(c)
         out.append((cols, block))
     return out
+
+
+def _pick_pivot(rows, candidates, col):
+    best = None
+    best_deg = None
+    for r in candidates:
+        entry = rows[r][col]
+        if entry:
+            d = len(entry)
+            if best is None or d < best_deg:
+                best, best_deg = r, d
+    return best
+
+
+def _bareiss_step(row, lead, c, pivot, prev, start):
+    """row <- (pivot*row - row[c]*lead) / prev over columns start.., exactly
+    over Z[q]; zero products are skipped, not computed."""
+    factor = row[c]
+    for j in range(start, len(row)):
+        num = pa.mul(row[j], pivot) if row[j] else []
+        if factor and lead[j]:
+            num = pa.sub(num, pa.mul(factor, lead[j]))
+        row[j] = pa.divexact(num, prev) if num else []
+
+
+def invert_oracle(matrix):
+    """Gauss-Jordan Bareiss on [A | I] over Z[q], pivoting on the first row
+    of least q-degree: (B, d) with B = d * A^(-1), d the determinant of the
+    row-permuted matrix.  Raises SingularSystem if A is singular."""
+    n = len(matrix)
+    rows = [list(row) + [[1] if i == j else [] for j in range(n)]
+            for i, row in enumerate(matrix)]
+    prev = [1]
+    for c in range(n):
+        r = _pick_pivot(rows, range(c, n), c)
+        if r is None:
+            raise SingularSystem("matrix is singular over Q(q)")
+        if r != c:
+            rows[c], rows[r] = rows[r], rows[c]
+        pivot = rows[c][c]
+        for i in range(n):
+            if i != c:
+                _bareiss_step(rows[i], rows[c], c, pivot, prev, 0)
+        prev = pivot
+    return [row[n:] for row in rows], prev
+
+
+def rank_oracle(matrix):
+    """Rank over Q(q) by forward fraction-free elimination over Z[q]."""
+    rows = [list(r) for r in matrix]
+    n = len(rows)
+    if not n:
+        return 0
+    ncols = len(rows[0])
+    prev = [1]
+    rank = 0
+    for c in range(ncols):
+        if rank == n:
+            break
+        r = _pick_pivot(rows, range(rank, n), c)
+        if r is None:
+            continue
+        if r != rank:
+            rows[rank], rows[r] = rows[r], rows[rank]
+        pivot = rows[rank][c]
+        for i in range(rank + 1, n):
+            _bareiss_step(rows[i], rows[rank], c, pivot, prev, c)
+        prev = pivot
+        rank += 1
+    return rank

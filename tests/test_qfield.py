@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import gcd
 from operator import mul
 
@@ -96,6 +96,15 @@ class TestCanonicalForm:
             QScalar(1) + one
         with pytest.raises(TypeError):
             QScalar(1) * one
+
+    def test_qpoly_takes_only_qpoly_operands(self):
+        one = QPoly([1])
+        for other in (QScalar(1), 2, Fraction(1, 2), 1.5, None):
+            for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+                with pytest.raises(TypeError):
+                    op(one, other)
+                with pytest.raises(TypeError):
+                    op(other, one)
 
     def test_str(self):
         assert str(poly(1, 1, 1) / poly(0, 0, 1)) == "(1 + q + q^2)/q^2"
@@ -297,6 +306,16 @@ class TestRepresentation:
         for s in (a, b, a + b, a - b, a * b, -a, a.subst_qinv()):
             _assert_representation(s.num)
             _assert_representation(s.den)
+
+    @settings(max_examples=100, deadline=None)
+    @given(qpolys, qpolys)
+    def test_sub_does_not_negate(self, a, b):
+        expected = QPoly([x - y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delattr(QPoly, "__neg__")
+            diff = a - b
+        assert diff == expected
+        _assert_representation(diff)
 
     def test_equal_polynomials_are_equal_pairs(self):
         p = QPoly([Fraction(2, 2), 0])
