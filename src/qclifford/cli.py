@@ -39,7 +39,7 @@ MAX_ORDER = 64
 #: C(k+m-2, m-1) being the class-0 block its solver inverts; n alone does
 #: not bound the cost, since the block's q-degrees grow with k ((m, k) =
 #: (2, 21), n = 21, ran over 150 s with elimination over Z[q]).
-#: The slowest accepted towers measured, at (2, 14), take 2.5-4.4 s on a
+#: The slowest accepted towers measured, at (2, 14), take 1.9-2.8 s on a
 #: 2-vCPU VM with CPython 3.11
 MAX_FISCHER_WORK = 3000
 

@@ -8,28 +8,30 @@ A class holds one blade per multi-index: the class-0 element of alpha
 is x^alpha e_p(alpha), p(alpha) the blade of the odd exponents.  Right
 multiplication by e_B commutes with x and q_dirac and maps class g onto
 g xor B, so every class block is a signed copy of the class-0 block of
-size C(k+m-2, m-1).  That block is the only one built: it is inverted
-once per (m, k) by fraction-free Gauss-Jordan elimination and cached, and
-each split solves every class of its right-hand side with that one
-inverse.  The elimination runs on integers, the block evaluated at
-q = 2^w with w wide enough that every minor's coefficients stay below
-2^w / 4, and reads the inverse back as base-2^w digits (see _linalg).
-`monogenic_dimension` ranks the class-0 block of q_dirac once, the same
-way, and counts it 2^m times.
+size C(k+m-2, m-1).  Only class-0 blocks are built, once per (m, k) and
+over Z[q]: D of q_dirac, X of x, and the inverse of A = D X, by
+fraction-free Gauss-Jordan elimination at q = 2^w, with w wide enough
+that every minor's coefficients stay below 2^w / 4 (see _linalg), reduced
+to lowest terms.  A split signs each class of P into class-0 coordinates,
+clears them over one denominator and runs the whole step there as Z[q]
+products, with one gcd per entry of M and Q (see _StepSolver).
+`monogenic_dimension` ranks the same block D once and counts it 2^m
+times.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 
+from . import _polyarith as pa
 from ._linalg import invert_ff, rank_ff
 from .clifford import Multivector, _multivector, blade_product
 from .cpoly import CliffordPoly, _cliffordpoly, _vector_variable
 from .errors import NotHomogeneous, SingularSystem
-from .qfield import ONE, ZERO, QPoly, QScalar, q_factorial
-from .qops import q_dirac, q_partial
+from .qfield import ONE, ZERO, _canonical, _monic, q_factorial
+from .qops import _require_plain, q_dirac, q_partial
 
 
 class FischerSplit(namedtuple("FischerSplit", "monogenic cofactor")):
@@ -187,53 +189,132 @@ def _class0_block(op, m, src, dst):
     return block
 
 
+@lru_cache(maxsize=None)
+def _dirac_block(m, k):
+    """The class-0 block of q_dirac from degree k to degree k - 1."""
+    return _class0_block(q_dirac, m, monomial_multi_indices(m, k),
+                         monomial_multi_indices(m, k - 1))
+
+
+def _columns(block):
+    """The nonzero entries of each column of a block, as (row, entry) lists."""
+    cols = [[] for _ in block[0]]
+    for i, row in enumerate(block):
+        for j, entry in enumerate(row):
+            if entry:
+                cols[j].append((i, entry))
+    return cols
+
+
+def _apply(cols, vec):
+    """The product over Z[q] of a block, given by its columns, and a sparse
+    vector {index: polynomial}."""
+    out = {}
+    for j, v in vec.items():
+        if v:
+            for i, entry in cols[j]:
+                out[i] = pa.add(out.get(i, ()), pa.mul(entry, v))
+    return out
+
+
+def _cleared(coords):
+    """One class's class-0 coordinates {j: (c, s)}, the coordinate j being
+    s * c, over one denominator: (y, l, L) with y[j] / (l L) the coordinate
+    j in Z[q].  A canonical c is (a / d_a) / b with b primitive (a monic
+    denominator b / d_b has content 1, being prime to d_b = b[-1]), that is
+    a d_b / (d_a b); l is the lcm of the integers d_a and L the lcm in
+    Z[q] of the b, one gcd for each b after the first."""
+    l = lcm(*(c.num.d for c, _ in coords.values()))
+    dens = {c.den.ints for c, _ in coords.values()}
+    L = []
+    for b in dens:
+        L = pa.mul(L, pa.gcd(L, b)[2]) if L else b
+    L_over = {b: pa.divexact(L, b) for b in dens}
+    y = {j: pa.mul(pa.mul_int(c.num.ints, s * c.den.d * (l // c.num.d)), L_over[c.den.ints])
+         for j, (c, s) in coords.items()}
+    return y, l, L
+
+
+def _lowest_terms(adj, det):
+    """(adj / g by columns, det / g) for g the gcd in Z[q] of det and every
+    entry of adj, so that adj / det = A^(-1) in lowest terms.  A gcd runs
+    only on an entry that the running g does not divide."""
+    entries = [entry for row in adj for entry in row if entry]
+    g = pa.primitive(det)
+    for entry in entries:
+        if len(g) == 1:
+            break
+        try:
+            pa.divexact(entry, g)
+        except ArithmeticError:
+            g, _, _ = pa.gcd(g, entry)
+    g = pa.mul_int(g, gcd(pa.content(det), *map(pa.content, entries)))
+    return _columns([[pa.divexact(entry, g) for entry in row] for row in adj]), pa.divexact(det, g)
+
+
 class _StepSolver:
-    """Cached inverse of Q -> q_dirac(x Q) on the degree-(k-1) space.
+    """The split P = M + x Q of the degree-k polynomials, run in class-0
+    coordinates over Z[q].
 
-    Only the class-0 block is assembled and inverted.  Right multiplication
-    by e_B commutes with x and q_dirac and sends x^alpha e_p(alpha) to
-    s x^alpha e_(p(alpha) xor B), s = +-1, so it maps class 0 onto class B
-    and the class-B block is S block_0 S with S = diag(s).  `solve` signs
-    each class of its right-hand side into class-0 coordinates, applies
-    the one inverse and signs the result back.
+    Right multiplication by e_B commutes with x and q_dirac and sends
+    x^alpha e_p(alpha) to s x^alpha e_(p(alpha) xor B), s = +-1, so it maps
+    class 0 onto class B, and every class of P is split by the class-0
+    blocks of its maps: D of q_dirac from degree k to k - 1, X of left
+    multiplication by x from degree k - 1 to k (entries +-1), and the
+    inverse of A = D X, the block of Q -> q_dirac(x Q), as adj / det.
+    `split` signs each class of P into class-0 coordinates and clears
+    them into a Z[q] vector y over one denominator l L; then, in Z[q],
+    z = adj (D y), and Q = z / (det l L) and M = y / (l L) - X Q =
+    (det y - X z) / (det l L).  Each nonzero entry of Q and M is
+    canonicalised once, with one gcd, and signed back into its class, so
+    no QScalar is summed or multiplied.
 
-    The inverse det * block_0^(-1) is built by `invert_ff` at the one
-    point q = 2^w, w from the block's coefficient norms, which makes every
-    minor's value readable back as its polynomial; it is kept dense, with
-    QScalar entries, so `solve` does no polynomial work of its own.
+    The blocks are built in the first split of each (m, k).  adj and det
+    come from `invert_ff`, which eliminates at the one point q = 2^w, w
+    from the block's coefficient norms, so that every minor's value reads
+    back as its polynomial; they are then divided by their common factor
+    in Z[q], which at (4,4) takes det from q-degree 40 to 16.
     """
 
     def __init__(self, m, k):
         self.m = m
-        self.k = k
         self.alphas = monomial_multi_indices(m, k - 1)
+        self.betas = monomial_multi_indices(m, k)
+        self.row = {beta: i for i, beta in enumerate(self.betas)}
         xv = _vector_variable(m)
-        inv, det = invert_ff(
-            _class0_block(lambda Q: q_dirac(xv * Q), m, self.alphas, self.alphas))
-        self.inv = [[QScalar(QPoly(entry)) if entry else ZERO for entry in row] for row in inv]
-        self.det = QScalar(QPoly(det))
+        self.dirac = _columns(_dirac_block(m, k))
+        self.x = _columns(_class0_block(lambda Q: xv * Q, m, self.alphas, self.betas))
+        self.adj, self.det = _lowest_terms(*invert_ff(
+            _class0_block(lambda Q: q_dirac(xv * Q), m, self.alphas, self.alphas)))
 
-    def solve(self, R):
-        """The Q of degree k - 1 with q_dirac(x Q) = R."""
-        col = {alpha: j for j, alpha in enumerate(self.alphas)}
+    def split(self, P):
+        """The FischerSplit of P, homogeneous of degree k."""
         classes = {}
-        for beta, mv in R.terms.items():
+        for beta, mv in P.terms.items():
             p = _odd_blade(beta)
             for mask, c in mv.terms.items():
                 B = mask ^ p
-                classes.setdefault(B, {})[col[beta]] = c if blade_product(p, B)[0] > 0 else -c
-        terms = {}
-        for B, rhs in classes.items():
-            for alpha, row in zip(self.alphas, self.inv):
-                acc = ZERO
-                for j, v in rhs.items():
-                    if not row[j].is_zero():
-                        acc = acc + row[j] * v
-                if not acc.is_zero():
-                    sign, mask = blade_product(_odd_blade(alpha), B)
-                    c = acc / self.det
-                    terms.setdefault(alpha, {})[mask] = c if sign > 0 else -c
-        return _cliffordpoly(self.m, {a: _multivector(self.m, t) for a, t in terms.items()})
+                classes.setdefault(B, {})[self.row[beta]] = (c, blade_product(p, B)[0])
+        m_terms, q_terms = {}, {}
+        for B, coords in classes.items():
+            y, l, L = _cleared(coords)
+            z = _apply(self.adj, _apply(self.dirac, y))
+            xz = _apply(self.x, z)
+            den = pa.mul(self.det, L)
+            for terms, alphas, vec in (
+                    (q_terms, self.alphas, z),
+                    (m_terms, self.betas,
+                     {i: pa.sub(pa.mul(self.det, y.get(i, ())), xz.get(i, ()))
+                      for i in y.keys() | xz.keys()})):
+                for i, v in vec.items():
+                    if v:
+                        sign, mask = blade_product(_odd_blade(alphas[i]), B)
+                        _, v, d = pa.gcd(v if sign > 0 else pa.neg(v), den)
+                        terms.setdefault(alphas[i], {})[mask] = _canonical(*_monic(v, l, d, 1))
+        m = self.m
+        return FischerSplit(
+            *(_cliffordpoly(m, {a: _multivector(m, t) for a, t in terms.items()})
+              for terms in (m_terms, q_terms)))
 
 
 @lru_cache(maxsize=None)
@@ -244,10 +325,10 @@ def _step_solver(m, k):
 def fischer_step(P):
     """Unique split P = M + x Q with M monogenic, for homogeneous P."""
     k = _degree_of(P)
+    _require_plain(P)
     if k is None or k == 0:
         return FischerSplit(P, CliffordPoly.zero(P.m))
-    Qp = _step_solver(P.m, k).solve(q_dirac(P))
-    return FischerSplit(P - _vector_variable(P.m) * Qp, Qp)
+    return _step_solver(P.m, k).split(P)
 
 
 def fischer_full(P):
@@ -270,6 +351,4 @@ def monogenic_dimension(m, k):
     space: 2^m times the nullity of its class-0 block over Q(q)."""
     if k == 0:
         return 1 << m
-    block = _class0_block(q_dirac, m, monomial_multi_indices(m, k),
-                          monomial_multi_indices(m, k - 1))
-    return (comb(k + m - 1, m - 1) - rank_ff(block)) << m
+    return (comb(k + m - 1, m - 1) - rank_ff(_dirac_block(m, k))) << m

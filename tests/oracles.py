@@ -10,15 +10,21 @@ The q-operators are composed here as the operator sums they are defined
 by, from q_partial and the general double-loop product, against the
 library's one-pass term maps and one-term products.  The fraction-free
 elimination runs here on Z[q] polynomial lists, against the library's
-elimination on integer values at one point q = 2^w.
+elimination on integer values at one point q = 2^w.  The Fischer split
+runs here through QScalar sums and products, from q_dirac(P) to
+P - x Q, against the library's split in class-0 coordinates over Z[q].
 """
 
+from functools import lru_cache
+
 from qclifford import _polyarith as pa
-from qclifford.clifford import Multivector
-from qclifford.cpoly import CliffordPoly, q_shift
+from qclifford._linalg import invert_ff
+from qclifford.clifford import Multivector, _multivector, blade_product
+from qclifford.cpoly import CliffordPoly, _cliffordpoly, q_shift, vector_variable
 from qclifford.errors import SingularSystem
-from qclifford.qops import q_partial
-from qclifford.qfield import ONE, Q, QScalar
+from qclifford.fischer import FischerSplit, _class0_block, _odd_blade, monomial_multi_indices
+from qclifford.qops import q_dirac, q_partial
+from qclifford.qfield import ONE, Q, ZERO, QPoly, QScalar
 
 
 def x(i, m):
@@ -261,3 +267,61 @@ def rank_oracle(matrix):
         prev = pivot
         rank += 1
     return rank
+
+
+@lru_cache(maxsize=None)
+def _dense_inverse(m, k):
+    """(alphas, inv, det): the inverse det * A^(-1) of the class-0 block A of
+    Q -> q_dirac(x Q) on the degree-(k-1) space, with QScalar entries."""
+    alphas = monomial_multi_indices(m, k - 1)
+    xv = vector_variable(m)
+    inv, det = invert_ff(_class0_block(lambda R: q_dirac(xv * R), m, alphas, alphas))
+    inv = [[QScalar(QPoly(entry)) if entry else ZERO for entry in row] for row in inv]
+    return alphas, inv, QScalar(QPoly(det))
+
+
+def solve_oracle(R, k):
+    """The Q of degree k - 1 with q_dirac(x Q) = R: each class of R signed
+    into class-0 coordinates, multiplied by the dense inverse in QScalar
+    arithmetic, and signed back."""
+    alphas, inv, det = _dense_inverse(R.m, k)
+    col = {alpha: j for j, alpha in enumerate(alphas)}
+    classes = {}
+    for beta, mv in R.terms.items():
+        p = _odd_blade(beta)
+        for mask, c in mv.terms.items():
+            B = mask ^ p
+            classes.setdefault(B, {})[col[beta]] = c if blade_product(p, B)[0] > 0 else -c
+    terms = {}
+    for B, rhs in classes.items():
+        for alpha, row in zip(alphas, inv):
+            acc = ZERO
+            for j, v in rhs.items():
+                if not row[j].is_zero():
+                    acc = acc + row[j] * v
+            if not acc.is_zero():
+                sign, mask = blade_product(_odd_blade(alpha), B)
+                c = acc / det
+                terms.setdefault(alpha, {})[mask] = c if sign > 0 else -c
+    return _cliffordpoly(R.m, {a: _multivector(R.m, t) for a, t in terms.items()})
+
+
+def split_oracle(P):
+    """The Fischer split of a homogeneous P as q_dirac, then solve_oracle,
+    then P - x Q, all in QScalar arithmetic."""
+    k = P.homogeneous_degree()
+    if not k:
+        return FischerSplit(P, CliffordPoly.zero(P.m))
+    Qp = solve_oracle(q_dirac(P), k)
+    return FischerSplit(P - vector_variable(P.m) * Qp, Qp)
+
+
+def tower_oracle(P):
+    """The components of the Fischer tower of P by iterated split_oracle."""
+    k = P.homogeneous_degree()
+    comps = []
+    rest = P
+    for _ in range((k or 0) + 1):
+        M, rest = split_oracle(rest)
+        comps.append(M)
+    return tuple(comps)

@@ -99,17 +99,31 @@ class TestFischer:
         assert [c["status"] for c in checks] == ["exact", "true", "true"]
 
     def test_wrong_solve_fails_certificates(self, capsys, monkeypatch):
-        from qclifford.fischer import _StepSolver
+        from qclifford.cpoly import vector_variable
+        from qclifford.fischer import FischerSplit, _StepSolver
 
-        solve = _StepSolver.solve
-        monkeypatch.setattr(_StepSolver, "solve",
-                            lambda self, R: solve(self, R) * 2)
+        # the split a solver with a doubled cofactor would give: it still
+        # recomposes, but is neither monogenic nor orthogonal
+        split = _StepSolver.split
+
+        def doubled_cofactor(self, P):
+            Q = split(self, P).cofactor * 2
+            return FischerSplit(P - vector_variable(P.m) * Q, Q)
+
+        monkeypatch.setattr(_StepSolver, "split", doubled_cofactor)
         code, out, err = run(capsys, "fischer", "--m", "2", "--json", "--", "x1^2*x2*e1")
         assert code == 3
         assert "Traceback" not in err
         statuses = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
         assert statuses == {"recomposition": "exact", "monogenic": "false",
                             "orthogonal": "false"}
+
+    @pytest.mark.parametrize("expr", ["e0", "2*e0*e1", "x0", "x1*e0"])
+    def test_extended_input_exits_2(self, capsys, expr):
+        code, out, err = run(capsys, "fischer", "--m", "2", "--", expr)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_tower_that_does_not_recompose_exits_3(self, capsys, monkeypatch):
         from qclifford import fischer as fischer_mod

@@ -1,15 +1,19 @@
 """Fischer inner product, adjointness, and the constructive decomposition."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import graded_blocks
+from oracles import graded_blocks, prs_gcd, split_oracle, tower_oracle
+from strategies import homogeneous_polys
 from qclifford import _polyarith as pa
 from qclifford import fischer
 from qclifford.clifford import Multivector
 from qclifford.cpoly import CliffordPoly, vector_variable
-from qclifford.errors import NotHomogeneous, SingularSystem
+from qclifford.errors import NotHomogeneous, SingularSystem, UsesExtendedAlgebra
 from qclifford.fischer import (
     FischerSplit,
     _class0_block,
@@ -24,7 +28,8 @@ from qclifford.fischer import (
     space_basis,
     space_dimension,
 )
-from qclifford.qfield import ONE, Q, ZERO, QScalar, q_factorial
+from qclifford.parser import parse_poly
+from qclifford.qfield import ONE, Q, ZERO, QPoly, QScalar, q_factorial
 from qclifford.qops import is_monogenic, q_dirac, q_partial
 from qclifford.randpoly import random_homogeneous_poly
 
@@ -227,6 +232,15 @@ class TestFischerStep:
         with pytest.raises(NotHomogeneous):
             fischer_step(x(1, 2) + x(1, 2) ** 2)
 
+    @pytest.mark.parametrize("text", ["e0", "2*e0*e1", "x0", "x1*e0"])
+    def test_extended_input_is_refused_at_every_degree(self, text):
+        # degree 0 used to come back unsplit, as its own tower
+        P = parse_poly(text, 2)
+        with pytest.raises(UsesExtendedAlgebra):
+            fischer_step(P)
+        with pytest.raises(UsesExtendedAlgebra):
+            fischer_full(P)
+
     def test_right_blade_equivariance(self):
         # x and q_dirac act from the left, so a split commutes with right
         # multiplication by any blade
@@ -243,12 +257,59 @@ class TestFischerStep:
             assert t.cofactor == s.cofactor * eB
 
 
-class TestSolverCertificate:
-    @staticmethod
-    def int_poly(c):
-        assert c.den.is_one() and c.num.d == 1
-        return list(c.num.ints)
+#: (m, k) of the inputs checked against the QScalar split
+ORACLE_CELLS = [(m, k) for m in (1, 2, 3) for k in range(6)] + [(4, k) for k in range(4)]
 
+
+def oracle_inputs(one_class=False, cells=ORACLE_CELLS):
+    return st.sampled_from(cells).flatmap(lambda mk: homogeneous_polys(*mk, one_class=one_class))
+
+
+class TestAgainstSplitOracle:
+    """The split in class-0 coordinates over Z[q] against the QScalar
+    split of the oracle (q_dirac, the dense inverse, P - x Q), on inputs
+    with rational-function coefficients over denominators that share
+    factors."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(oracle_inputs())
+    def test_step(self, P):
+        assert fischer_step(P) == split_oracle(P)
+
+    @settings(max_examples=60, deadline=None)
+    @given(oracle_inputs(one_class=True, cells=[(m, k) for m, k in ORACLE_CELLS if m > 1 and k]))
+    def test_step_on_one_class_over_several_denominators(self, P):
+        assert fischer_step(P) == split_oracle(P)
+
+    @settings(max_examples=30, deadline=None)
+    @given(oracle_inputs(cells=[(m, k) for m, k in ORACLE_CELLS if k <= 4]))
+    def test_full(self, P):
+        assert fischer_full(P).components == tower_oracle(P)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(ORACLE_CELLS).flatmap(
+        lambda mk: st.tuples(homogeneous_polys(*mk), homogeneous_polys(*mk))))
+    def test_cancelling_sums(self, pair):
+        P, R = pair
+        assert fischer_step((P + R) - R) == split_oracle(P)
+        assert fischer_step(P - P) == (P - P, P - P)
+        # the split is linear, so the entries of a sum may cancel
+        s, t, u = fischer_step(P + R), fischer_step(P), fischer_step(R)
+        assert s.monogenic == t.monogenic + u.monogenic
+        assert s.cofactor == t.cofactor + u.cofactor
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_zero_and_constants(self, m):
+        zero = CliffordPoly.zero(m)
+        assert fischer_step(zero) == split_oracle(zero) == (zero, zero)
+        assert fischer_full(zero).components == tower_oracle(zero) == (zero,)
+        c = QScalar(QPoly([1, 2]), QPoly([3, 0, 1]))
+        for P in (CliffordPoly.scalar(c, m), CliffordPoly.scalar(c, m) * e(m, m) + 2 * e(1, m)):
+            assert fischer_step(P) == split_oracle(P) == (P, zero)
+            assert fischer_full(P).components == tower_oracle(P) == (P,)
+
+
+class TestSolverCertificate:
     @staticmethod
     def oracle_blocks(m, k):
         """The oracle's blocks of Q -> q_dirac(x Q) on the degree-(k-1)
@@ -266,16 +327,33 @@ class TestSolverCertificate:
             solver = _step_solver(m, k)
             (elements, block0), *_ = self.oracle_blocks(m, k)
             assert [alpha for alpha, _ in elements] == solver.alphas
-            d = self.int_poly(solver.det)
+            d = solver.det
             n = len(solver.alphas)
+            # solver.adj holds the nonzero entries of each column of the inverse
+            inv = [[[] for _ in range(n)] for _ in range(n)]
+            for b, col in enumerate(solver.adj):
+                for j, entry in col:
+                    inv[j][b] = entry
             for a in range(n):
                 for b in range(n):
                     acc = []
                     for j in range(n):
-                        inv_jb = solver.inv[j][b]
-                        if not inv_jb.is_zero():
-                            acc = pa.add(acc, pa.mul(block0[a][j], self.int_poly(inv_jb)))
+                        inv_jb = inv[j][b]
+                        if inv_jb:
+                            acc = pa.add(acc, pa.mul(block0[a][j], inv_jb))
                     assert acc == (d if a == b else []), (m, k, a, b)
+
+    @pytest.mark.parametrize("m, kmax", [(1, 4), (2, 4), (3, 4), (4, 3)])
+    def test_inverse_is_in_lowest_terms(self, m, kmax):
+        # no factor of Z[q], integer or polynomial, is common to det and adj
+        for k in range(1, kmax + 1):
+            solver = _step_solver(m, k)
+            entries = [entry for col in solver.adj for _, entry in col]
+            g = solver.det
+            for entry in entries:
+                g = prs_gcd(g, entry)
+            assert g == [1], (m, k)
+            assert math.gcd(pa.content(solver.det), *map(pa.content, entries)) == 1, (m, k)
 
     @pytest.mark.parametrize("m, kmax", [(1, 4), (2, 4), (3, 4), (4, 3)])
     def test_class_blocks_are_signed_copies(self, m, kmax):
