@@ -110,16 +110,16 @@ def multi_factorial(alpha):
 
 
 def fischer_inner(R1, R2, k):
-    """Fischer inner product on degree-k polynomials:
-    sum over multi-indices of [alpha]_q! (conj(a1) a2)_0."""
+    """Fischer inner product on degree-k polynomials: sum over multi-indices
+    of [alpha]_q! (conj(a1) a2)_0.  Every generator squares to -1, so that
+    scalar part is the sum of a1_A a2_A over the blades A of both."""
     _degree_of(R1, k)
     _degree_of(R2, k)
     acc = ZERO
-    for alpha, mv1 in R1.terms.items():
-        mv2 = R2.terms.get(alpha)
-        if mv2 is None:
-            continue
-        acc = acc + multi_factorial(alpha) * (mv1.conjugate() * mv2).scalar_part()
+    for alpha in R1.terms.keys() & R2.terms.keys():
+        a1, a2 = R1.terms[alpha].terms, R2.terms[alpha].terms
+        shared = a1.keys() & a2.keys()
+        acc = acc + multi_factorial(alpha) * sum((a1[A] * a2[A] for A in shared), ZERO)
     return acc
 
 

@@ -6,10 +6,14 @@ multiplication/division, then unary minus, then power (nonnegative
 integer exponents), then atoms.  An explicit '*' is required between
 factors, so x12 is variable twelve, never x1*x2.  Atoms are `q`, `xK`,
 `eK`, integer literals and parenthesized expressions (`t` replaces the
-variables in one-dimensional mode).  Division is valid whenever the
-divisor is a scalar constant; this covers rational literals like 1/2 and
-makes every canonical rendering reparse.  Parentheses and unary minus
-nest at most MAX_DEPTH levels deep; deeper input is a ParseError.
+variables in one-dimensional mode).  Tokens are ASCII: a literal is a run
+of the digits 0-9 and a name is an ASCII letter followed by ASCII letters
+and digits, so any other character outside whitespace (a superscript
+digit, a non-ASCII digit or letter) is a ParseError at its position.
+Division is valid whenever the divisor is a scalar constant; this covers
+rational literals like 1/2 and makes every canonical rendering reparse.
+Parentheses and unary minus nest at most MAX_DEPTH levels deep; deeper
+input is a ParseError.
 
 The parser builds every atom as a CliffordPoly at once; its tree keeps,
 as tagged tuples, only the operations whose cost lowering checks first.
@@ -24,6 +28,8 @@ denominator, of one monomial-blade coefficient.
 """
 
 from __future__ import annotations
+
+import re
 
 from .cpoly import CliffordPoly
 from .errors import AlgebraMismatch, DivisionByZero, InvalidArgument, InvalidVariable, ParseError
@@ -47,35 +53,20 @@ MAX_TERM_PAIRS = 300_000
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
+#: one token per match: an ASCII integer literal, an ASCII name, an
+#: operator, or any other non-space character, which is an error
+_TOKEN = re.compile(
+    r"(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^()])|(?P<bad>\S)")
+
+
 def tokenize(text):
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum()):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        if c in "+-*/^()":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        raise ParseError("unexpected character %r" % c, i)
-    tokens.append(("end", "", n))
+    for match in _TOKEN.finditer(text):
+        kind, value, i = match.lastgroup, match.group(), match.start()
+        if kind == "bad":
+            raise ParseError("unexpected character %r" % value, i)
+        tokens.append((value if kind == "op" else kind, value, i))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 

@@ -14,7 +14,8 @@ cofactors are the reduced operands, so no gcd is divided out twice.
 The q-combinatorial quantities [u]_q, [k]_q! and the Gaussian binomials
 live here as well.  Every coefficient elsewhere in the package is a QScalar;
 `_as_qscalar` alone decides which arithmetic operands are scalars (QScalar,
-int, Fraction), and `_binary_power` is the one repeated squaring.
+int, Fraction), and `_binary_power` is the one repeated squaring.  The
+text form of both types is written by `render`, like that of every value.
 
 q is treated as a formal parameter: identities are exact in Q(q) and
 numeric evaluation rejects poles instead of taking limits.
@@ -139,23 +140,9 @@ class QPoly:
         return Fraction(acc, r ** max(self.degree, 0) * self.d)
 
     def __str__(self):
-        if not self.ints:
-            return "0"
-        chunks = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            a = abs(c)
-            if k == 0:
-                body = str(a)
-            else:
-                power = "q" if k == 1 else "q^%d" % k
-                body = power if a == 1 else "%s*%s" % (a, power)
-            if not chunks:
-                chunks.append(body if c > 0 else "-" + body)
-            else:
-                chunks.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(chunks)
+        from .render import render_qpoly
+
+        return render_qpoly(self)
 
     __repr__ = __str__
 
@@ -343,15 +330,9 @@ class QScalar:
         return QScalar(rn, rd.times_q_power(-shift))
 
     def __str__(self):
-        if self.den.is_one():
-            return str(self.num)
-        num_s = str(self.num)
-        den_s = str(self.den)
-        if " " in num_s:
-            num_s = "(%s)" % num_s
-        if " " in den_s:
-            den_s = "(%s)" % den_s
-        return "%s/%s" % (num_s, den_s)
+        from .render import render_qscalar
+
+        return render_qscalar(self)
 
     __repr__ = __str__
 

@@ -105,6 +105,15 @@ class TestInnerProduct:
             R2 = random_homogeneous_poly(rng, m, k)
             assert fischer_inner(R1, R2, k) == fischer_inner_operator(R1, R2)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(m, k) for m in (1, 2, 3) for k in range(5)]).flatmap(
+        lambda mk: st.tuples(homogeneous_polys(*mk), homogeneous_polys(*mk), st.just(mk[1]))))
+    def test_operator_form_equivalence_rational(self, case):
+        # R1 + R2 shares every term of R1, so the shared blades are exercised
+        R1, R2, k = case
+        for S in (R2, R1 + R2):
+            assert fischer_inner(R1, S, k) == fischer_inner_operator(R1, S)
+
     def test_positive_definite_at_numeric_q(self):
         rng = random.Random(43)
         for _ in range(20):

@@ -91,8 +91,21 @@ class TestGrammar:
         with pytest.raises(ParseError):
             parse("", 2)
 
+    @pytest.mark.parametrize("text, position", [
+        ("2\u00b2", 1),        # superscript two
+        ("x1\u00b2", 2),
+        ("e\u00b2", 1),
+        ("x\u0661", 1),        # Arabic-Indic one
+        ("\u0661\u0662*x1", 0),
+    ])
+    def test_tokens_are_ascii(self, text, position):
+        with pytest.raises(ParseError) as info:
+            parse(text, 2)
+        assert info.value.position == position
+
     def test_whitespace_insensitive(self):
         assert parse_poly(" x1 * e1+ q * x2 ", 2) == parse_poly("x1*e1+q*x2", 2)
+        assert parse_poly("x1\u00a0+\tx2", 2) == parse_poly("x1+x2", 2)
 
 
 class TestLowering:
@@ -185,6 +198,7 @@ class TestRoundTrip:
             P = parse_poly(text, 3)
             rendered = str(P)
             assert parse_poly(rendered, 3) == P, text
+            assert str(parse_poly(rendered, 3)) == rendered, text
 
     def test_random_polys_render_reparse(self):
         rng = random.Random(97)
@@ -192,6 +206,7 @@ class TestRoundTrip:
             m = rng.randint(1, 4)
             P = random_poly(rng, m, 4, uses_x0=True, uses_e0=True)
             assert parse_poly(str(P), m) == P
+            assert str(parse_poly(str(P), m)) == str(P)
 
     def test_fischer_style_denominators_reparse(self):
         from qclifford.fischer import fischer_step
@@ -215,6 +230,7 @@ class TestRoundTrip:
         for s in values:
             P = parse_poly(str(s), 1)
             assert P == CliffordPoly.scalar(s, 1), str(s)
+            assert str(P) == str(s)
 
 
 class TestUniParser:

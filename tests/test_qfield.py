@@ -111,6 +111,10 @@ class TestCanonicalForm:
         assert str(ONE / poly(-1, 1)) == "1/(-1 + q)"
         assert str(poly(Fraction(1, 2), 2)) == "1/2 + 2*q"
         assert str(ZERO) == "0"
+        assert str(poly(0, Fraction(-1, 2))) == "-1/2*q"
+        assert str(poly(Fraction(1, 2), 0, 0, -1)) == "1/2 - q^3"
+        assert str(-ONE / poly(3, 1)) == "-1/(3 + q)"
+        assert str(poly(-1, -1) / poly(3, 1)) == "(-1 - q)/(3 + q)"
 
 
 class TestQBracket:
