@@ -5,15 +5,16 @@ e0^2 = -1 used by the Cauchy-Kovalevskaya extension.
 A blade is a product of distinct generators, encoded as a bitmask (bit i
 set means e_i is present; bit 0 is reserved for e0).  A Multivector is a
 sparse map from blade masks to QScalar coefficients.  The public
-constructor validates its input; the operators build their results
-through `_multivector` without re-validating them, since valid operands
+constructor validates its input, coefficients by `_as_qscalar`; the
+operators build their results through `_multivector` (`+` and `-` merge
+through `_summed`) without re-validating them, since valid operands
 give valid results.
 """
 
 from __future__ import annotations
 
 from .errors import AlgebraMismatch, InvalidArgument, InvalidVariable
-from .qfield import ONE, ZERO, QPoly, QScalar, _as_qscalar
+from .qfield import ONE, ZERO, _as_qscalar
 
 
 def reorder_swaps(a, b):
@@ -68,9 +69,10 @@ class Multivector:
         self.m = m
         clean = {}
         if terms:
-            for mask, coeff in terms.items():
-                if not isinstance(coeff, QScalar):
-                    coeff = QScalar(QPoly((coeff,)))
+            for mask, value in terms.items():
+                coeff = _as_qscalar(value)
+                if coeff is None:
+                    raise TypeError("cannot use %r as a coefficient in Q(q)" % (value,))
                 if coeff.is_zero():
                     continue
                 if mask >> (m + 1):
@@ -135,21 +137,13 @@ class Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
         self._compat(other)
-        out = dict(self.terms)
-        for mask, c in other.terms.items():
-            cur = out.get(mask)
-            out[mask] = c if cur is None else cur + c
-        return _multivector(self.m, out)
+        return _multivector(self.m, _summed(self.terms, other.terms, False))
 
     def __sub__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
         self._compat(other)
-        out = dict(self.terms)
-        for mask, c in other.terms.items():
-            cur = out.get(mask)
-            out[mask] = -c if cur is None else cur - c
-        return _multivector(self.m, out)
+        return _multivector(self.m, _summed(self.terms, other.terms, True))
 
     def __neg__(self):
         return _multivector(self.m, {mask: -c for mask, c in self.terms.items()})
@@ -195,6 +189,19 @@ class Multivector:
         return render_multivector(self)
 
     __repr__ = __str__
+
+
+def _summed(terms, other, subtract):
+    """A copy of the term map `terms` plus `other`, or minus it if `subtract`;
+    only keys new to `terms` are negated, and zero sums stay in for the caller."""
+    out = dict(terms)
+    for key, c in other.items():
+        cur = out.get(key)
+        if cur is None:
+            out[key] = -c if subtract else c
+        else:
+            out[key] = cur - c if subtract else cur + c
+    return out
 
 
 def _multivector(m, terms):

@@ -5,18 +5,21 @@ A multi-index is a plain tuple of m+1 nonnegative integers whose slot 0 is
 the x_0 exponent (0 unless the extension is in play).  A CliffordPoly is a
 sparse map multi-index -> Multivector; the variables are central, so all
 noncommutativity lives in the coefficients.  The public constructor
-validates its input; the operators, `q_shift`, `homogeneous_part` and
-`qops.q_partial` build their results through `_cliffordpoly` without
-re-validating them, since valid operands give valid results.
+validates its input (scalar coefficients as Multivector does); the
+operators, `q_shift`, `homogeneous_part` and `qops.q_partial` build their
+results through `_cliffordpoly` (`+` and `-` merge through
+`clifford._summed`) without re-validating them, since valid operands
+give valid results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from operator import mul
 
-from .clifford import Multivector
+from .clifford import Multivector, _summed
 from .errors import AlgebraMismatch, InvalidArgument, InvalidVariable
 from .qfield import ONE, Q, _as_qscalar, _binary_power
 
@@ -81,8 +84,7 @@ class CliffordPoly:
         """The coordinate x_i (x_0 for i = 0)."""
         if i < 0 or i > m:
             raise InvalidVariable("variable index %d out of range" % i)
-        alpha = tuple(1 if j == i else 0 for j in range(m + 1))
-        return CliffordPoly(m, {alpha: Multivector.scalar(ONE, m)})
+        return CliffordPoly(m, {_unit(i, m): Multivector.scalar(ONE, m)})
 
     @staticmethod
     def generator(i, m):
@@ -138,11 +140,7 @@ class CliffordPoly:
         if other is None:
             return NotImplemented
         self._compat(other)
-        out = dict(self.terms)
-        for alpha, mv in other.terms.items():
-            cur = out.get(alpha)
-            out[alpha] = mv if cur is None else cur + mv
-        return _cliffordpoly(self.m, out)
+        return _cliffordpoly(self.m, _summed(self.terms, other.terms, False))
 
     __radd__ = __add__
 
@@ -151,11 +149,7 @@ class CliffordPoly:
         if other is None:
             return NotImplemented
         self._compat(other)
-        out = dict(self.terms)
-        for alpha, mv in other.terms.items():
-            cur = out.get(alpha)
-            out[alpha] = -mv if cur is None else cur - mv
-        return _cliffordpoly(self.m, out)
+        return _cliffordpoly(self.m, _summed(self.terms, other.terms, True))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -318,12 +312,7 @@ def evaluate_poly(P, point, q0):
         values = [Fraction(0)] + [Fraction(v) for v in point]
     acc = Multivector.zero(P.m)
     for alpha, mv in P.terms.items():
-        factor = Fraction(1)
-        for v, e in zip(values, alpha):
-            if e:
-                factor *= v**e
-        if not factor:
-            continue
-        evaluated = {mask: c.evaluate(q0) * factor for mask, c in mv.terms.items()}
-        acc = acc + Multivector(P.m, evaluated)
+        factor = prod(v**e for v, e in zip(values, alpha))
+        if factor:
+            acc = acc + Multivector(P.m, {k: c.evaluate(q0) for k, c in mv.terms.items()}) * factor
     return acc

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 from . import _polyarith as pa
 from ._linalg import invert_ff, rank_ff
@@ -102,11 +102,7 @@ def _degree_of(P, k=None):
 
 def multi_factorial(alpha):
     """[alpha]_q! = product of [alpha_i]_q! over the slots."""
-    acc = ONE
-    for a in alpha:
-        if a:
-            acc = acc * q_factorial(a)
-    return acc
+    return prod(map(q_factorial, alpha), start=ONE)
 
 
 def fischer_inner(R1, R2, k):

@@ -63,14 +63,9 @@ def jackson_derivative(f):
 def q_integral(f, a, b):
     """Closed form of the q-integral of f over [a, b]:
     sum_k c_k (b^(k+1) - a^(k+1)) / [k+1]_q."""
-    a = Fraction(a)
-    b = Fraction(b)
-    acc = ZERO
-    for (_, k), mv in f.terms.items():
-        weight = b ** (k + 1) - a ** (k + 1)
-        if weight:
-            acc = acc + mv.scalar_part() * weight / q_bracket(k + 1)
-    return acc
+    a, b = Fraction(a), Fraction(b)
+    return sum((mv.scalar_part() * (b ** (k + 1) - a ** (k + 1)) / q_bracket(k + 1)
+                for (_, k), mv in f.terms.items()), ZERO)
 
 
 def q_integral_series_oracle(f, a, q0, terms):

@@ -9,7 +9,8 @@ factors, so x12 is variable twelve, never x1*x2.  Atoms are `q`, `xK`,
 variables in one-dimensional mode).  Tokens are ASCII: a literal is a run
 of the digits 0-9 and a name is an ASCII letter followed by ASCII letters
 and digits, so any other character outside whitespace (a superscript
-digit, a non-ASCII digit or letter) is a ParseError at its position.
+digit, a non-ASCII digit or letter) is a ParseError at its position, as
+is a digit run over the int-string limit (4300 digits by default).
 Division is valid whenever the divisor is a scalar constant; this covers
 rational literals like 1/2 and makes every canonical rendering reparse.
 Parentheses and unary minus nest at most MAX_DEPTH levels deep; deeper
@@ -68,6 +69,14 @@ def tokenize(text):
         tokens.append((value if kind == "op" else kind, value, i))
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _digits(text, pos):
+    # int() refuses a digit run past the int-string limit (4300 digits by default)
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError("integer of %d digits is too long" % len(text), pos) from None
 
 
 class _Parser:
@@ -130,13 +139,13 @@ class _Parser:
         if self.peek()[0] == "^":
             self.advance()
             tok = self.expect("int")
-            return ("^", base, int(tok[1]))
+            return ("^", base, _digits(tok[1], tok[2]))
         return base
 
     def atom(self):
         kind, text, pos = self.advance()
         if kind == "int":
-            return CliffordPoly.scalar(QScalar(int(text)), self.m)
+            return CliffordPoly.scalar(_digits(text, pos), self.m)
         if kind == "(":
             self.nest(pos)
             inner = self.expr(0)
@@ -156,7 +165,7 @@ class _Parser:
             raise ParseError("unknown symbol %r (expected t or q)" % text, pos)
         head, tail = text[0], text[1:]
         if head in ("x", "e") and tail.isdigit():
-            index = int(tail)
+            index = _digits(tail, pos)
             if index > self.m:
                 raise InvalidVariable(
                     "%s exceeds dimension m = %d" % (text, self.m)

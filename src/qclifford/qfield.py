@@ -13,9 +13,9 @@ cancellation is one call of the heuristic gcd `_polyarith.gcd`, whose
 cofactors are the reduced operands, so no gcd is divided out twice.
 The q-combinatorial quantities [u]_q, [k]_q! and the Gaussian binomials
 live here as well.  Every coefficient elsewhere in the package is a QScalar;
-`_as_qscalar` alone decides which arithmetic operands are scalars (QScalar,
-int, Fraction), and `_binary_power` is the one repeated squaring.  The
-text form of both types is written by `render`, like that of every value.
+`_as_qscalar` alone decides which operands and coefficients are scalars
+(QScalar, int, Fraction), and `_binary_power` is the one repeated squaring.
+The text form of both types is written by `render`, like that of every value.
 
 q is treated as a formal parameter: identities are exact in Q(q) and
 numeric evaluation rejects poles instead of taking limits.
@@ -33,7 +33,7 @@ from .errors import DivisionByZero, InvalidArgument, PoleAtEvaluationPoint
 
 
 class QPoly:
-    """Polynomial in q with rational coefficients, lowest degree first.
+    """Polynomial in q with rational coefficients (int or Fraction), lowest degree first.
 
     Stored as the pair (ints, d): the coefficients are ints[k] / d, where
     ints is a tuple of ints without trailing zeros, d is a positive int and
@@ -52,7 +52,9 @@ class QPoly:
     __slots__ = ("ints", "d")
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        cs = list(coeffs)
+        if not all(isinstance(c, (int, Fraction)) for c in cs):
+            raise TypeError("cannot use %r as rational coefficients" % (cs,))
         d = lcm(*(c.denominator for c in cs))
         # over the lcm of reduced denominators the content is prime to d
         self.ints = tuple(pa.trim([c.numerator * (d // c.denominator) for c in cs]))

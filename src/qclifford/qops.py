@@ -12,7 +12,8 @@ convention.
 
 check_relation evaluates one named operator identity on a concrete
 polynomial and returns the residual LHS - RHS; the zero polynomial
-certifies the identity on that input.
+certifies the identity on that input.  Each correction sum over the
+indices i = 1..m in the catalogue is one `_index_sum`.
 """
 
 from __future__ import annotations
@@ -88,10 +89,7 @@ def q_euler(P):
     x^a by sum_i [a_i]_q."""
     out = {}
     for alpha, mv in P.terms.items():
-        c = ZERO
-        for a in alpha[1:]:
-            if a:
-                c = c + q_bracket(a)
+        c = sum((q_bracket(a) for a in alpha[1:] if a), ZERO)
         if c:
             out[alpha] = mv * c
     return _cliffordpoly(P.m, out)
@@ -156,6 +154,11 @@ def _relation(name, *aliases):
 
 _Q2 = Q * Q
 _TWO = q_bracket(2)
+
+
+def _index_sum(P, term):
+    """sum_{i=1..m} term(i) in m = P.m variables, added in index order."""
+    return sum((term(i) for i in range(1, P.m + 1)), CliffordPoly.zero(P.m))
 
 
 @_relation("weyl", "weyl_i")
@@ -229,18 +232,15 @@ def _anticomm_dirac_x(P, _):
 @_relation("comm_euler_x")
 def _comm_euler_x(P, _):
     xv = _vector_variable(P.m)
-    s = CliffordPoly.zero(P.m)
-    for i in range(1, P.m + 1):
-        s = s + _variable(i, P.m) ** 2 * (_generator(i, P.m) * q_partial(P, i))
+    s = _index_sum(P, lambda i: _variable(i, P.m) ** 2 * (_generator(i, P.m) * q_partial(P, i)))
     yield q_euler(xv * P) - xv * q_euler(P) - xv * P - (Q - 1) * s
 
 
 @_relation("comm_euler_dirac")
 def _comm_euler_dirac(P, _):
     # [E, D] = -D + (q-1) sum x_i e_i d_i^2
-    s = CliffordPoly.zero(P.m)
-    for i in range(1, P.m + 1):
-        s = s + _variable(i, P.m) * (_generator(i, P.m) * q_partial(q_partial(P, i), i))
+    s = _index_sum(P, lambda i: (
+        _variable(i, P.m) * (_generator(i, P.m) * q_partial(q_partial(P, i), i))))
     yield q_euler(q_dirac(P)) - q_dirac(q_euler(P)) + q_dirac(P) - (Q - 1) * s
 
 
@@ -249,35 +249,28 @@ def _comm_normsq_dirac(P, _):
     # [|x|^2, D] = [2] x + (q^2-1) sum x_i^2 e_i d_i
     nsq = _norm_squared(P.m)
     xv = _vector_variable(P.m)
-    s = CliffordPoly.zero(P.m)
-    for i in range(1, P.m + 1):
-        s = s + _variable(i, P.m) ** 2 * (_generator(i, P.m) * q_partial(P, i))
+    s = _index_sum(P, lambda i: _variable(i, P.m) ** 2 * (_generator(i, P.m) * q_partial(P, i)))
     yield nsq * q_dirac(P) - q_dirac(nsq * P) - _TWO * xv * P - (_Q2 - 1) * s
 
 
 @_relation("comm_euler_normsq")
 def _comm_euler_normsq(P, _):
     nsq = _norm_squared(P.m)
-    s = CliffordPoly.zero(P.m)
-    for i in range(1, P.m + 1):
-        s = s + _variable(i, P.m) ** 3 * q_partial(P, i)
+    s = _index_sum(P, lambda i: _variable(i, P.m) ** 3 * q_partial(P, i))
     yield q_euler(nsq * P) - nsq * q_euler(P) - _TWO * nsq * P - (_Q2 - 1) * s
 
 
 @_relation("comm_laplace_x")
 def _comm_laplace_x(P, _):
     xv = _vector_variable(P.m)
-    s = CliffordPoly.zero(P.m)
-    for i in range(1, P.m + 1):
-        s = s + _variable(i, P.m) * (_generator(i, P.m) * q_partial(q_partial(P, i), i))
+    s = _index_sum(P, lambda i: (
+        _variable(i, P.m) * (_generator(i, P.m) * q_partial(q_partial(P, i), i))))
     yield q_laplace(xv * P) - xv * q_laplace(P) - (_Q2 - 1) * s + _TWO * q_dirac(P)
 
 
 @_relation("comm_euler_laplace")
 def _comm_euler_laplace(P, _):
-    s = CliffordPoly.zero(P.m)
-    for i in range(1, P.m + 1):
-        s = s + _variable(i, P.m) * q_partial(q_partial(q_partial(P, i), i), i)
+    s = _index_sum(P, lambda i: _variable(i, P.m) * q_partial(q_partial(q_partial(P, i), i), i))
     yield (
         q_euler(q_laplace(P))
         - q_laplace(q_euler(P))
@@ -290,9 +283,7 @@ def _comm_euler_laplace(P, _):
 def _comm_laplace_normsq(P, _):
     # [Laplace, |x|^2] = q [2][2] E + [2] m + (q^4-1) sum x_i^2 d_i^2
     nsq = _norm_squared(P.m)
-    s = CliffordPoly.zero(P.m)
-    for i in range(1, P.m + 1):
-        s = s + _variable(i, P.m) ** 2 * q_partial(q_partial(P, i), i)
+    s = _index_sum(P, lambda i: _variable(i, P.m) ** 2 * q_partial(q_partial(P, i), i))
     yield (
         q_laplace(nsq * P)
         - nsq * q_laplace(P)
@@ -328,13 +319,11 @@ def _axiom_a1(P, _):
 
 @_relation("axiom_a2_replacement")
 def _axiom_a2(P, _):
+    # the correction sums x_j^2 e_i d_i over j != i, i.e. (|x|^2 - x_i^2) e_i d_i
     xv = _vector_variable(P.m)
     xsq = xv * xv
-    s = CliffordPoly.zero(P.m)
-    for i in range(1, P.m + 1):
-        for j in range(1, P.m + 1):
-            if j != i:
-                s = s + _variable(j, P.m) ** 2 * (_generator(i, P.m) * q_partial(P, i))
+    s = _index_sum(P, lambda i: (
+        (_norm_squared(P.m) - _variable(i, P.m) ** 2) * (_generator(i, P.m) * q_partial(P, i))))
     yield (
         q_dirac(xsq * P)
         - _Q2 * xsq * q_dirac(P)
@@ -349,9 +338,7 @@ def _dirac_x2f_form1(P, _):
     # carries the vector variable squared, i.e. minus |x|^2
     xv = _vector_variable(P.m)
     xsq = xv * xv
-    s = CliffordPoly.zero(P.m)
-    for i in range(1, P.m + 1):
-        s = s + _generator(i, P.m) * (_variable(i, P.m) * q_shift(P, i))
+    s = _index_sum(P, lambda i: _generator(i, P.m) * (_variable(i, P.m) * q_shift(P, i)))
     yield q_dirac(xsq * P) - _TWO * s - xsq * q_dirac(P)
 
 
@@ -360,9 +347,7 @@ def _dirac_x2f_form2(P, _):
     xv = _vector_variable(P.m)
     xsq = xv * xv
     nsq = _norm_squared(P.m)
-    s = CliffordPoly.zero(P.m)
-    for i in range(1, P.m + 1):
-        s = s + _generator(i, P.m) * (q_shift(nsq, i) * q_partial(P, i))
+    s = _index_sum(P, lambda i: _generator(i, P.m) * (q_shift(nsq, i) * q_partial(P, i)))
     yield q_dirac(xsq * P) - s - _TWO * xv * P
 
 

@@ -210,6 +210,23 @@ class TestScalarOperands:
             assert (left == other) is False
             assert (left != other) is True
 
+    # the constructors take the scalars the operators take, and no others
+    @pytest.mark.parametrize("build", [
+        lambda c: Multivector(1, {0: c}),
+        lambda c: Multivector.scalar(c, 1),
+        lambda c: CliffordPoly(1, {(0, 1): c}),
+        lambda c: CliffordPoly.scalar(c, 1),
+        lambda c: QPoly([Fraction(1, 4), c]),
+        lambda c: QScalar(c),
+    ], ids=["Multivector", "Multivector.scalar", "CliffordPoly", "CliffordPoly.scalar",
+            "QPoly", "QScalar"])
+    @pytest.mark.parametrize("other", [0.1, 0.5, "3", "1/3", None],
+                             ids=["float", "exact-float", "str", "str-fraction", "None"])
+    def test_constructors_refuse_other_coefficients(self, build, other):
+        with pytest.raises(TypeError):
+            build(other)
+        assert build(3) == build(Fraction(3)) != build(Fraction(1, 3))
+
 
 def assert_canonical(value):
     """value equals its rebuild through the validating constructors, term
@@ -248,6 +265,7 @@ class TestCanonicalResults:
         for u in coeffs:
             for v in coeffs:
                 results += [u + v, u - v, u * v]
+                assert u - v == u + (-v)
             results += [-u, conjugate(u), u * Q, (1 + Q) * u, u * (1 / (1 + Q)), u * 0,
                         u - u, u + (-u)]
         for r in results:

@@ -103,6 +103,22 @@ class TestGrammar:
             parse(text, 2)
         assert info.value.position == position
 
+    # digit runs past the interpreter's int-string limit (4300 digits by
+    # default) in a literal, an exponent, a variable, a generator, and an
+    # exponent of t
+    @pytest.mark.parametrize("text, position, read", [
+        ("1" * 5000, 0, lambda t: parse_poly(t, 2)),
+        ("x1^" + "1" * 5000, 3, lambda t: parse_poly(t, 2)),
+        ("x" + "1" * 5000, 0, lambda t: parse_poly(t, 2)),
+        ("e" + "1" * 5000, 0, lambda t: parse_poly(t, 2)),
+        ("t^" + "1" * 5000, 2, parse_unipoly),
+    ], ids=["literal", "exponent", "variable", "generator", "t-exponent"])
+    def test_overlong_digit_runs_carry_position(self, text, position, read):
+        with pytest.raises(ParseError, match="5000 digits") as info:
+            read(text)
+        assert info.value.position == position
+        assert parse_poly("1" * 100, 2) == CliffordPoly.scalar(int("1" * 100), 2)
+
     def test_whitespace_insensitive(self):
         assert parse_poly(" x1 * e1+ q * x2 ", 2) == parse_poly("x1*e1+q*x2", 2)
         assert parse_poly("x1\u00a0+\tx2", 2) == parse_poly("x1+x2", 2)
